@@ -20,7 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Union
 
 from .fincat import CommMonoid, FinCat, FunTable
@@ -468,6 +468,7 @@ class Budget:
             raise ValueError("budget fields must be positive")
 
 
+@lru_cache(maxsize=None)
 def count_objects(c: CatExpr, bud: Budget) -> int:
     if isinstance(c, CatBase):
         return len(c.cat.objects)
@@ -480,6 +481,7 @@ def count_objects(c: CatExpr, bud: Budget) -> int:
     return sum(s**l for l in range(bud.max_seq_len + 1))
 
 
+@lru_cache(maxsize=None)
 def count_morphisms(c: CatExpr, bud: Budget) -> int:
     if isinstance(c, CatBase):
         return len(c.cat.all_morphisms())
@@ -607,132 +609,148 @@ def enumerate_morphisms(c: CatExpr, bud: Budget):
 
 
 # ------------------------------------------------------------- evaluation
+#
+# Each node type maps to its actions in one table: the object and morphism
+# actions of a functor, the component of a cell.  The actions recurse
+# through eval_fun, eval_fun_mor and eval_cell and reach the sequence
+# kernels by their module-level names at call time.
 
 
 def eval_fun(f: FunExpr, x):
     """Apply a functor expression to an object of its domain."""
-    if isinstance(f, Identity):
-        return x
-    if isinstance(f, Compose):
-        for part in f.parts:
-            x = eval_fun(part, x)
-        return x
-    if isinstance(f, Tuple):
-        return tuple(eval_fun(p, x) for p in f.parts)
-    if isinstance(f, Proj):
-        return x[f.k - 1]
-    if isinstance(f, Shuffle):
-        return permute(x, f.perm)
-    if isinstance(f, ApplyT):
-        return tmap(_tfun(f.inner), x)
-    if isinstance(f, Eta):
-        return eta(x)
-    if isinstance(f, Mu):
-        return mu(x)
-    if isinstance(f, Strength):
-        return strength_ti(len(f.slots), f.i, x)
-    if isinstance(f, Omega):
-        return omega_n(x)
-    if isinstance(f, FunBase):
-        return f.table.on_obj(x)
-    if isinstance(f, Const):
-        return f.obj
-    if isinstance(f, MonoidEval):
-        return f.monoid.fold(x.entries)
-    if isinstance(f, MonoidMult):
-        return f.monoid.fold(x)
-    raise TypecheckError(f"not a functor expression: {f!r}")
+    actions = _FUN_ACTIONS.get(type(f))
+    if actions is None:
+        raise TypecheckError(f"not a functor expression: {f!r}")
+    return actions[0](f, x)
 
 
 def eval_fun_mor(f: FunExpr, m):
     """Apply a functor expression to a morphism of its domain."""
-    if isinstance(f, Identity):
-        return m
-    if isinstance(f, Compose):
-        for part in f.parts:
-            m = eval_fun_mor(part, m)
-        return m
-    if isinstance(f, Tuple):
-        return tuple(eval_fun_mor(p, m) for p in f.parts)
-    if isinstance(f, Proj):
-        return m[f.k - 1]
-    if isinstance(f, Shuffle):
-        return permute(m, f.perm)
-    if isinstance(f, ApplyT):
-        return tmap(_tfun(f.inner), m)
-    if isinstance(f, Eta):
-        return eta_mor(level_of(f.cat), m)
-    if isinstance(f, Mu):
-        return mu_mor(m)
-    if isinstance(f, Strength):
-        dom = fun_dom(f)
-        levels = tuple(level_of(c) for c in dom.factors)
-        return strength_ti_mor(levels, len(f.slots), f.i, m)
-    if isinstance(f, Omega):
-        return omega_n_mor(m)
-    if isinstance(f, FunBase):
-        return f.table.on_mor(m)
-    if isinstance(f, Const):
-        return level_of(f.cod).identity(f.obj)
-    if isinstance(f, MonoidEval):
-        return f.monoid.cat.identity(f.monoid.fold(m.source.entries))
-    if isinstance(f, MonoidMult):
-        sources = tuple(f.monoid.cat.src(c) for c in m)
-        return f.monoid.cat.identity(f.monoid.fold(sources))
-    raise TypecheckError(f"not a functor expression: {f!r}")
+    actions = _FUN_ACTIONS.get(type(f))
+    if actions is None:
+        raise TypecheckError(f"not a functor expression: {f!r}")
+    return actions[1](f, m)
+
+
+def _compose_obj(f: Compose, x):
+    for part in f.parts:
+        x = eval_fun(part, x)
+    return x
+
+
+def _compose_mor(f: Compose, m):
+    for part in f.parts:
+        m = eval_fun_mor(part, m)
+    return m
+
+
+def _strength_mor(f: Strength, m):
+    # strength_ti_mor never reads the level of the freed slot, so the
+    # slots' own levels serve
+    levels = tuple([level_of(c) for c in f.slots])
+    return strength_ti_mor(levels, len(f.slots), f.i, m)
+
+
+def _monoid_mult_mor(f: MonoidMult, m):
+    sources = tuple(f.monoid.cat.src(c) for c in m)
+    return f.monoid.cat.identity(f.monoid.fold(sources))
 
 
 def _tfun(inner: FunExpr) -> Fun:
-    return Fun(lambda e: eval_fun(inner, e), lambda c: eval_fun_mor(inner, c))
+    """The entrywise actions of inner, looked up once for a whole sequence."""
+    actions = _FUN_ACTIONS.get(type(inner))
+    if actions is None:
+        raise TypecheckError(f"not a functor expression: {inner!r}")
+    return Fun(partial(actions[0], inner), partial(actions[1], inner))
+
+
+_FUN_ACTIONS = {
+    Identity: (lambda f, x: x, lambda f, m: m),
+    Compose: (_compose_obj, _compose_mor),
+    Tuple: (
+        lambda f, x: tuple([eval_fun(p, x) for p in f.parts]),
+        lambda f, m: tuple([eval_fun_mor(p, m) for p in f.parts]),
+    ),
+    Proj: (lambda f, x: x[f.k - 1], lambda f, m: m[f.k - 1]),
+    Shuffle: (lambda f, x: permute(x, f.perm), lambda f, m: permute(m, f.perm)),
+    ApplyT: (
+        lambda f, x: tmap(_tfun(f.inner), x),
+        lambda f, m: tmap(_tfun(f.inner), m),
+    ),
+    Eta: (lambda f, x: eta(x), lambda f, m: eta_mor(level_of(f.cat), m)),
+    Mu: (lambda f, x: mu(x), lambda f, m: mu_mor(m)),
+    Strength: (lambda f, x: strength_ti(len(f.slots), f.i, x), _strength_mor),
+    Omega: (lambda f, x: omega_n(x), lambda f, m: omega_n_mor(m)),
+    FunBase: (lambda f, x: f.table.on_obj(x), lambda f, m: f.table.on_mor(m)),
+    Const: (lambda f, x: f.obj, lambda f, m: level_of(f.cod).identity(f.obj)),
+    MonoidEval: (
+        lambda f, x: f.monoid.fold(x.entries),
+        lambda f, m: f.monoid.cat.identity(f.monoid.fold(m.source.entries)),
+    ),
+    MonoidMult: (lambda f, x: f.monoid.fold(x), _monoid_mult_mor),
+}
 
 
 def eval_cell(e: CellExpr, x, hcomp_order: int = 1):
     """Component of a 2-cell at an object of its source's domain."""
-    if isinstance(e, IdCell):
-        return level_of(fun_cod(e.fun)).identity(eval_fun(e.fun, x))
-    if isinstance(e, Gamma):
-        levels = tuple(level_of(s) for s in e.slots)
-        return gamma_ij_component(levels, len(e.slots), e.i, e.j, x, e.partition)
-    if isinstance(e, GammaInv):
-        levels = tuple(level_of(s) for s in e.slots)
-        return gamma_ij_component(levels, len(e.slots), e.j, e.i, x, e.partition)
-    if isinstance(e, VComp):
-        src, _ = _cell_endpoints_cached(e)
-        lev = level_of(fun_cod(src))
-        acc = eval_cell(e.parts[0], x, hcomp_order)
-        for part in e.parts[1:]:
-            acc = lev.comp(eval_cell(part, x, hcomp_order), acc)
-        return acc
-    if isinstance(e, HComp):
-        sf, tf = _cell_endpoints_cached(e.first)
-        ss, ts = _cell_endpoints_cached(e.second)
-        lev = level_of(fun_cod(ss))
-        left = eval_cell(e.first, x, hcomp_order)
-        if hcomp_order == 1:
-            return lev.comp(
-                eval_cell(e.second, eval_fun(tf, x), hcomp_order),
-                eval_fun_mor(ss, left),
-            )
+    component = _CELL_ACTIONS.get(type(e))
+    if component is None:
+        raise TypecheckError(f"not a cell expression: {e!r}")
+    return component(e, x, hcomp_order)
+
+
+def _gamma_component(e, x, i: int, j: int):
+    levels = tuple([level_of(s) for s in e.slots])
+    return gamma_ij_component(levels, len(e.slots), i, j, x, e.partition)
+
+
+def _vcomp_component(e: VComp, x, hcomp_order: int):
+    src, _ = _cell_endpoints_cached(e)
+    lev = level_of(fun_cod(src))
+    acc = eval_cell(e.parts[0], x, hcomp_order)
+    for part in e.parts[1:]:
+        acc = lev.comp(eval_cell(part, x, hcomp_order), acc)
+    return acc
+
+
+def _hcomp_component(e: HComp, x, hcomp_order: int):
+    sf, tf = _cell_endpoints_cached(e.first)
+    ss, ts = _cell_endpoints_cached(e.second)
+    lev = level_of(fun_cod(ss))
+    left = eval_cell(e.first, x, hcomp_order)
+    if hcomp_order == 1:
         return lev.comp(
-            eval_fun_mor(ts, left),
-            eval_cell(e.second, eval_fun(sf, x), hcomp_order),
+            eval_cell(e.second, eval_fun(tf, x), hcomp_order),
+            eval_fun_mor(ss, left),
         )
-    if isinstance(e, WhiskerL):
-        return eval_cell(e.cell, eval_fun(e.fun, x), hcomp_order)
-    if isinstance(e, WhiskerR):
-        return eval_fun_mor(e.fun, eval_cell(e.cell, x, hcomp_order))
-    if isinstance(e, ApplyTCell):
-        s, t = _cell_endpoints_cached(e.cell)
-        comps = tuple(eval_cell(e.cell, v, hcomp_order) for v in x.entries)
-        return SeqMor(
-            eval_fun(ApplyT(s), x),
-            eval_fun(ApplyT(t), x),
-            perm_identity(len(comps)),
-            comps,
-        )
-    if isinstance(e, TupleCell):
-        return tuple(eval_cell(p, x, hcomp_order) for p in e.parts)
-    raise TypecheckError(f"not a cell expression: {e!r}")
+    return lev.comp(
+        eval_fun_mor(ts, left),
+        eval_cell(e.second, eval_fun(sf, x), hcomp_order),
+    )
+
+
+def _applyt_component(e: ApplyTCell, x, hcomp_order: int):
+    s, t = _cell_endpoints_cached(e.cell)
+    comps = tuple(eval_cell(e.cell, v, hcomp_order) for v in x.entries)
+    return SeqMor(
+        eval_fun(ApplyT(s), x),
+        eval_fun(ApplyT(t), x),
+        perm_identity(len(comps)),
+        comps,
+    )
+
+
+_CELL_ACTIONS = {
+    IdCell: lambda e, x, h: level_of(fun_cod(e.fun)).identity(eval_fun(e.fun, x)),
+    Gamma: lambda e, x, h: _gamma_component(e, x, e.i, e.j),
+    GammaInv: lambda e, x, h: _gamma_component(e, x, e.j, e.i),
+    VComp: _vcomp_component,
+    HComp: _hcomp_component,
+    WhiskerL: lambda e, x, h: eval_cell(e.cell, eval_fun(e.fun, x), h),
+    WhiskerR: lambda e, x, h: eval_fun_mor(e.fun, eval_cell(e.cell, x, h)),
+    ApplyTCell: _applyt_component,
+    TupleCell: lambda e, x, h: tuple([eval_cell(p, x, h) for p in e.parts]),
+}
 
 
 # ------------------------------------------------------------- reports
@@ -791,18 +809,26 @@ def _counterexample(point, left, right, note="") -> dict:
 def equal_fun(f: FunExpr, g: FunExpr, bud: Budget) -> Report:
     """Pointwise equality of two functor expressions on objects and
     morphisms of their shared domain."""
-    df = fun_dom(f)
-    dg = fun_dom(g)
-    if df != dg:
+    dom = fun_dom(f)
+    if fun_dom(g) != dom:
         raise TypecheckError("cannot compare functors with different domains")
-    objs, t1 = enumerate_objects(df, bud)
-    mors, t2 = enumerate_morphisms(df, bud)
-    truncated = t1 or t2
+    objs, t1 = enumerate_objects(dom, bud)
+    mors, t2 = enumerate_morphisms(dom, bud)
+    return _equal_on(f, g, objs, mors, t1 or t2)
+
+
+def _equal_on(f: FunExpr, g: FunExpr, objs, mors, truncated: bool) -> Report:
+    """Compare f and g at the given objects, then at the given morphisms,
+    stopping at the first failing point.  When f == g each point is
+    evaluated once: the comparison cannot fail, but an evaluation error
+    still can."""
+    same = f == g
     points = 0
     for o in objs:
         points += 1
         try:
-            a, b = eval_fun(f, o), eval_fun(g, o)
+            a = eval_fun(f, o)
+            b = a if same else eval_fun(g, o)
         except _EVAL_ERRORS as err:
             return Report(
                 "equal-fun", False, points, truncated,
@@ -816,7 +842,8 @@ def equal_fun(f: FunExpr, g: FunExpr, bud: Budget) -> Report:
     for m in mors:
         points += 1
         try:
-            a, b = eval_fun_mor(f, m), eval_fun_mor(g, m)
+            a = eval_fun_mor(f, m)
+            b = a if same else eval_fun_mor(g, m)
         except _EVAL_ERRORS as err:
             return Report(
                 "equal-fun", False, points, truncated,
@@ -832,27 +859,32 @@ def equal_fun(f: FunExpr, g: FunExpr, bud: Budget) -> Report:
 
 def equal_cell(a: CellExpr, b: CellExpr, bud: Budget) -> Report:
     """Pointwise equality of two cells: first their source and target
-    1-cells extensionally, then the components at every enumerated point."""
+    1-cells extensionally, then the components at every enumerated point.
+    The shared domain is enumerated once for all three phases."""
     sa, ta = cell_endpoints(a)
     sb, tb = cell_endpoints(b)
-    src_report = equal_fun(sa, sb, bud)
+    dom = fun_dom(sa)
+    if not fun_dom(sb) == fun_dom(ta) == fun_dom(tb) == dom:
+        raise TypecheckError("cannot compare functors with different domains")
+    objs, t_objs = enumerate_objects(dom, bud)
+    mors, t_mors = enumerate_morphisms(dom, bud)
+    truncated = t_objs or t_mors
+    src_report = _equal_on(sa, sb, objs, mors, truncated)
     if not src_report.passed:
         return Report(
-            "equal-cell", False, src_report.points, src_report.truncated,
+            "equal-cell", False, src_report.points, truncated,
             phase="endpoints-source", counterexample=src_report.counterexample,
             detail="source 1-cells disagree",
         )
-    tgt_report = equal_fun(ta, tb, bud)
+    tgt_report = _equal_on(ta, tb, objs, mors, truncated)
     if not tgt_report.passed:
         return Report(
             "equal-cell", False,
-            src_report.points + tgt_report.points, tgt_report.truncated,
+            src_report.points + tgt_report.points, truncated,
             phase="endpoints-target", counterexample=tgt_report.counterexample,
             detail="target 1-cells disagree",
         )
-    dom = fun_dom(sa)
     cod_level = level_of(fun_cod(sa))
-    objs, truncated = enumerate_objects(dom, bud)
     points = src_report.points + tgt_report.points
     for o in objs:
         points += 1
@@ -861,24 +893,21 @@ def equal_cell(a: CellExpr, b: CellExpr, bud: Budget) -> Report:
             drift = _endpoint_drift(cod_level, left, eval_fun(sa, o), eval_fun(ta, o))
         except _EVAL_ERRORS as err:
             return Report(
-                "equal-cell", False, points, truncated,
+                "equal-cell", False, points, t_objs,
                 counterexample={"point": show_value(o), "error": str(err)},
             )
         if drift:
             return Report(
-                "equal-cell", False, points, truncated,
+                "equal-cell", False, points, t_objs,
                 counterexample={"point": show_value(o), "left": show_value(left)},
                 detail=f"component endpoints drift: {drift}",
             )
         if left != right:
             return Report(
-                "equal-cell", False, points, truncated,
+                "equal-cell", False, points, t_objs,
                 counterexample=_counterexample(o, left, right),
             )
-    return Report(
-        "equal-cell", True, points,
-        truncated or src_report.truncated or tgt_report.truncated,
-    )
+    return Report("equal-cell", True, points, truncated)
 
 
 def _endpoint_drift(lev: Level, component, want_src, want_tgt) -> str:

@@ -86,7 +86,7 @@ class FinCat:
 
     def all_morphisms(self) -> tuple[str, ...]:
         """Identities in object order, then declared morphisms in document order."""
-        return tuple(ID_PREFIX + o for o in self.objects) + self._declared
+        return self._all_morphisms
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return tuple(
@@ -95,6 +95,7 @@ class FinCat:
 
     def __post_init__(self) -> None:
         self._obj_set = frozenset(self.objects)
+        self._all_morphisms = tuple(ID_PREFIX + o for o in self.objects) + self._declared
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -200,16 +200,12 @@ def compose_seq(inner: Level, m2: SeqMor, m1: SeqMor) -> SeqMor:
     through m1's permutation before composing entrywise."""
     if m1.target != m2.source:
         raise ValueError("cannot compose: endpoints do not meet")
-    n = len(m1.components)
     if _mut("compose-reindexing"):
-        comps = tuple(
-            inner.comp(m2.components[i - 1], m1.components[i - 1])
-            for i in range(1, n + 1)
-        )
+        comps = tuple(map(inner.comp, m2.components, m1.components))
     else:
+        c2 = m2.components
         comps = tuple(
-            inner.comp(m2.components[m1.perm(i) - 1], m1.components[i - 1])
-            for i in range(1, n + 1)
+            [inner.comp(c2[j - 1], c1) for j, c1 in zip(m1.perm.images, m1.components)]
         )
     return SeqMor(m1.source, m2.target, compose(m2.perm, m1.perm), comps)
 
@@ -228,12 +224,12 @@ class Fun:
 def tmap(fun: Fun, x):
     """Apply a functor entrywise to a SeqObj or SeqMor."""
     if isinstance(x, SeqObj):
-        return SeqObj(tuple(fun.on_obj(e) for e in x.entries))
+        return SeqObj(tuple(map(fun.on_obj, x.entries)))
     return SeqMor(
         tmap(fun, x.source),
         tmap(fun, x.target),
         x.perm,
-        tuple(fun.on_mor(c) for c in x.components),
+        tuple(map(fun.on_mor, x.components)),
     )
 
 
@@ -301,15 +297,19 @@ def strength_t1_mor(blev: Level, m: SeqMor, g) -> SeqMor:
     )
 
 
-def _splice(n: int, i: int, args: tuple, c) -> tuple:
-    """Place entry c at slot i among the remaining args."""
-    entry = args[: i - 1] + (c,) + args[i:]
+def _splice(n: int, i: int, args: tuple, entries) -> tuple:
+    """Place each of entries at slot i among the remaining args."""
+    head, tail = args[: i - 1], args[i:]
     if _mut("strength-slot-index") and n > 1:
         k = i if i < n else i - 2
-        swapped = list(entry)
-        swapped[i - 1], swapped[k] = swapped[k], swapped[i - 1]
-        return tuple(swapped)
-    return entry
+        return tuple(_swap(head + (c,) + tail, i - 1, k) for c in entries)
+    return tuple([head + (c,) + tail for c in entries])
+
+
+def _swap(entry: tuple, a: int, b: int) -> tuple:
+    swapped = list(entry)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    return tuple(swapped)
 
 
 def strength_ti(n: int, i: int, args: tuple) -> SeqObj:
@@ -325,7 +325,7 @@ def strength_ti(n: int, i: int, args: tuple) -> SeqObj:
         raise ValueError("slot out of range")
     x = args[i - 1]
     entries = reversed(x.entries) if _mut("strength-entry-order") else x.entries
-    return SeqObj(tuple(_splice(n, i, args, c) for c in entries))
+    return SeqObj(_splice(n, i, args, entries))
 
 
 def strength_ti_mor(levels: tuple, n: int, i: int, margs: tuple) -> SeqMor:
@@ -340,7 +340,7 @@ def strength_ti_mor(levels: tuple, n: int, i: int, margs: tuple) -> SeqMor:
     tgt_args = tuple(
         m.target if k == i - 1 else levels[k].tgt(margs[k]) for k in range(n)
     )
-    comps = tuple(_splice(n, i, margs, c) for c in m.components)
+    comps = _splice(n, i, margs, m.components)
     return SeqMor(
         strength_ti(n, i, src_args), strength_ti(n, i, tgt_args), m.perm, comps
     )
@@ -396,20 +396,19 @@ def omega_n(xs: tuple) -> SeqObj:
 
 def _rank(idx: tuple, lens: tuple) -> int:
     r = 0
-    for k in range(len(lens)):
-        r = r * lens[k] + (idx[k] - 1)
+    for i, l in zip(idx, lens):
+        r = r * l + (i - 1)
     return r + 1
 
 
 def omega_n_mor(ms: tuple) -> SeqMor:
-    lens = tuple(len(m.components) for m in ms)
-    grid = tuple(itertools.product(*(range(1, l + 1) for l in lens)))
+    # grid point (i_1 .. i_k), in lexicographic order, goes to the rank of
+    # (perm_1(i_1) .. perm_k(i_k)) and carries the components at i_1 .. i_k
+    lens = tuple([len(m.components) for m in ms])
     images = tuple(
-        _rank(tuple(ms[k].perm(idx[k]) for k in range(len(ms))), lens) for idx in grid
+        [_rank(idx, lens) for idx in itertools.product(*(m.perm.images for m in ms))]
     )
-    comps = tuple(
-        tuple(ms[k].components[idx[k] - 1] for k in range(len(ms))) for idx in grid
-    )
+    comps = tuple(itertools.product(*(m.components for m in ms)))
     return SeqMor(
         omega_n(tuple(m.source for m in ms)),
         omega_n(tuple(m.target for m in ms)),

@@ -96,7 +96,8 @@ def compose(p: Perm, q: Perm) -> Perm:
     """
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Perm(tuple(p(q(i)) for i in range(1, q.degree + 1)))
+    images = p.images
+    return Perm(tuple([images[j - 1] for j in q.images]))
 
 
 def invert(p: Perm) -> Perm:
@@ -110,7 +111,7 @@ def permute(seq: Sequence, p: Perm) -> tuple:
     """Right action: entry at slot i of the result is seq[p(i)]."""
     if len(seq) != p.degree:
         raise ValueError(f"length {len(seq)} does not match degree {p.degree}")
-    return tuple(seq[p(i) - 1] for i in range(1, p.degree + 1))
+    return tuple([seq[j - 1] for j in p.images])
 
 
 def act(p: Perm, seq: Sequence) -> tuple:
@@ -137,20 +138,16 @@ def block(sigma: Perm, taus: Iterable[Perm]) -> Perm:
     taus = list(taus)
     if sigma.degree != len(taus):
         raise ValueError(f"outer degree {sigma.degree} vs {len(taus)} blocks")
-    ks = [t.degree for t in taus]
-    offsets = [0]
-    for k in ks:
-        offsets.append(offsets[-1] + k)
-    # block i starts at offsets[i-1] in the source and at result_offsets[i-1]
-    # in the image, where blocks are laid out in increasing sigma(i)
-    result_offsets = [0] * len(ks)
-    for i in range(1, len(ks) + 1):
-        result_offsets[i - 1] = sum(ks[t - 1] for t in range(1, len(ks) + 1)
-                                    if sigma(t) < sigma(i))
-    images = [0] * sum(ks)
-    for i, tau in enumerate(taus, start=1):
-        for l in range(1, tau.degree + 1):
-            images[offsets[i - 1] + l - 1] = result_offsets[i - 1] + tau(l)
+    # the blocks keep their source order in the result's domain and are laid
+    # out in increasing sigma(i) in its image
+    result_offsets = [0] * len(taus)
+    offset = 0
+    for i in sorted(range(len(taus)), key=sigma.images.__getitem__):
+        result_offsets[i] = offset
+        offset += taus[i].degree
+    images = []
+    for start, tau in zip(result_offsets, taus):
+        images.extend([start + l for l in tau.images])
     return Perm(tuple(images))
 
 

@@ -8,20 +8,25 @@ enumeration order and counts, report determinism, and counterexamples.
 
 import itertools
 import json
+import typing
 
 import pytest
 
+from shufflecat import calculus
 from shufflecat.calculus import (
     ApplyT,
     ApplyTCell,
     Budget,
     BudgetError,
+    CELL_TYPES,
     CatBase,
+    CellExpr,
     Compose,
     Const,
     Eta,
     Free,
     FunBase,
+    FunExpr,
     Gamma,
     GammaInv,
     HComp,
@@ -59,8 +64,9 @@ from shufflecat.calculus import (
     typecheck,
 )
 from shufflecat.fincat import FunTable, load_fincat
+from shufflecat.mutations import inject
 from shufflecat.freesmc import SeqMor, identity_seq, omega, omega_n, seq, strength_ti
-from shufflecat.perms import Perm, identity
+from shufflecat.perms import Perm, identity, invert
 
 DISC2 = load_fincat(
     {"name": "discrete2", "objects": ["x", "y"], "morphisms": [], "compose": []}
@@ -376,3 +382,152 @@ def test_reports_deterministic_bytes():
 def test_naturality_check():
     report = check_naturality(Gamma((W, W)), Budget(max_seq_len=2, max_points=400))
     assert report.passed and report.points > 0
+
+
+# ---------------------------------------------------------------- one pass
+
+
+def _count_calls(monkeypatch, name, when=lambda *args: True):
+    """Route calculus.<name> through a counter of the calls that match."""
+    real = getattr(calculus, name)
+    calls = []
+
+    def counted(*args):
+        if when(*args):
+            calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, name, counted)
+    return calls
+
+
+def _identical_twin(f):
+    """An expression unequal to f with the same values everywhere."""
+    twin = Compose((f, Identity(calculus.fun_cod(f))))
+    assert twin != f
+    return twin
+
+
+@pytest.mark.parametrize("kind", ["passing", "raising"])
+def test_equal_fun_evaluates_identical_sides_once(monkeypatch, kind):
+    if kind == "passing":
+        f = Compose((Eta(Free(A)), Mu(A)))
+    else:
+        # no image for y: evaluation raises KeyError at the first point with y
+        f = ApplyT(FunBase(FunTable(ARROW, ARROW, {"x": "x"}, {"id_x": "id_x"})))
+    on_obj = _count_calls(monkeypatch, "eval_fun", lambda g, x: g is f)
+    on_mor = _count_calls(monkeypatch, "eval_fun_mor", lambda g, m: g is f)
+    report = equal_fun(f, f, BUD)
+    assert len(on_obj) + len(on_mor) == report.points
+    assert report.passed == (kind == "passing")
+    if kind == "raising":
+        assert "error" in report.counterexample
+    assert equal_fun(f, _identical_twin(f), BUD) == report
+
+
+def _three_pass_equal_cell(a, b, bud):
+    """equal_cell as it was first written: each phase enumerates the
+    domain again.  The reference for the shared enumeration."""
+    sa, ta = cell_endpoints(a)
+    sb, tb = cell_endpoints(b)
+    src = equal_fun(sa, sb, bud)
+    if not src.passed:
+        return calculus.Report(
+            "equal-cell", False, src.points, src.truncated,
+            phase="endpoints-source", counterexample=src.counterexample,
+            detail="source 1-cells disagree",
+        )
+    tgt = equal_fun(ta, tb, bud)
+    if not tgt.passed:
+        return calculus.Report(
+            "equal-cell", False, src.points + tgt.points, tgt.truncated,
+            phase="endpoints-target", counterexample=tgt.counterexample,
+            detail="target 1-cells disagree",
+        )
+    lev = level_of(fun_endpoints(sa)[1])
+    objs, truncated = enumerate_objects(fun_endpoints(sa)[0], bud)
+    points = src.points + tgt.points
+    for o in objs:
+        points += 1
+        try:
+            left, right = eval_cell(a, o), eval_cell(b, o)
+            drift = calculus._endpoint_drift(
+                lev, left, eval_fun(sa, o), eval_fun(ta, o))
+        except calculus._EVAL_ERRORS as err:
+            return calculus.Report(
+                "equal-cell", False, points, truncated,
+                counterexample={"point": calculus.show_value(o), "error": str(err)},
+            )
+        if drift:
+            return calculus.Report(
+                "equal-cell", False, points, truncated,
+                counterexample={"point": calculus.show_value(o),
+                                "left": calculus.show_value(left)},
+                detail=f"component endpoints drift: {drift}",
+            )
+        if left != right:
+            return calculus.Report(
+                "equal-cell", False, points, truncated,
+                counterexample=calculus._counterexample(o, left, right),
+            )
+    return calculus.Report("equal-cell", True, points,
+                           truncated or src.truncated or tgt.truncated)
+
+
+G = Gamma((A, A))
+# VComp meets its parts only at the hom-category, so Gamma after Gamma has
+# Gamma's endpoints and fails to compose wherever gamma moves something
+EQUAL_CELL_CASES = {
+    "endpoints-source": (G, GammaInv((A, A))),
+    "endpoints-target": (G, IdCell(gamma_source((A, A), 1, 2))),
+    "components": (VComp((G, G)), G),
+    "passing": (VComp((G, GammaInv((A, A)), G)), G),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(EQUAL_CELL_CASES))
+# the middle budget covers every object but samples the morphisms
+@pytest.mark.parametrize("bud", [BUD, Budget(max_seq_len=2, max_points=60, seed=3),
+                                 Budget(max_seq_len=3, max_points=25, seed=3)],
+                         ids=["whole", "sampled-morphisms", "sampled"])
+def test_equal_cell_enumerates_once_and_keeps_reports(monkeypatch, phase, bud):
+    a, b = EQUAL_CELL_CASES[phase]
+    want = _three_pass_equal_cell(a, b, bud)
+    objs = _count_calls(monkeypatch, "enumerate_objects")
+    mors = _count_calls(monkeypatch, "enumerate_morphisms")
+    got = equal_cell(a, b, bud)
+    assert (len(objs), len(mors)) == (1, 1)
+    assert got.to_json() == want.to_json()
+    assert got.passed == (phase == "passing")
+    if not got.passed:
+        assert got.phase == phase
+
+
+def test_every_node_type_has_a_dispatch_entry():
+    assert set(calculus._FUN_ACTIONS) == set(typing.get_args(FunExpr))
+    assert set(calculus._CELL_ACTIONS) == set(typing.get_args(CellExpr))
+    assert set(calculus._CELL_ACTIONS) == set(CELL_TYPES)
+    with pytest.raises(TypecheckError, match="^not a functor expression: 'x'$"):
+        eval_fun("x", "x")
+    with pytest.raises(TypecheckError, match="^not a functor expression"):
+        eval_fun_mor(G, "x")
+    with pytest.raises(TypecheckError, match="^not a functor expression"):
+        eval_fun(ApplyT(G), seq(("x",)))
+    with pytest.raises(TypecheckError, match="^not a cell expression"):
+        eval_cell(Identity(A), "x")
+
+
+def test_mutation_after_first_evaluation_is_observed():
+    strength = Strength((A, A), 1)
+    point = (seq(("x", "y")), "x")
+    lifted = ApplyT(strength)
+    outer = seq((point,))
+    x, y = seq(("x", "y")), seq(("y", "x"))
+    before = (eval_fun(strength, point), eval_fun(lifted, outer), eval_cell(G, (x, y)))
+    with inject("strength-entry-order"):
+        assert eval_fun(strength, point).entries == before[0].entries[::-1]
+        assert eval_fun(lifted, outer) != before[1]
+    with inject("gamma-transpose-direction"):
+        assert eval_cell(G, (x, y)).perm == invert(before[2].perm)
+    assert (eval_fun(strength, point), eval_fun(lifted, outer),
+            eval_cell(G, (x, y))) == before
