@@ -326,14 +326,6 @@ def multicell_equal(m1: MultiCell, m2: MultiCell, bud: Budget) -> list[tuple[str
     return out
 
 
-def twocell_equal(t1: MultiTwoCell, t2: MultiTwoCell, bud: Budget) -> list[tuple[str, Report]]:
-    """Pointwise equality of the components of two parallel 2-cells."""
-    if t1.source.inputs != t2.source.inputs or t1.source.output != t2.source.output:
-        raise TypecheckError("two-cells have different signatures")
-    dom = Prod(t1.source.carriers)
-    return [("component", equal_cell(t1.component, t2.component, _fit(bud, dom)))]
-
-
 def all_passed(reports: Iterable[tuple[str, Report]]) -> bool:
     return all(r.passed for _, r in reports)
 

@@ -20,7 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from typing import Optional, Union
 
 from .fincat import CommMonoid, FinCat, FunTable
@@ -501,7 +501,19 @@ def _digits(index: int, base: int, width: int) -> list:
     return out
 
 
-def object_at(c: CatExpr, bud: Budget, index: int):
+def _part(at, c: CatExpr, bud: Budget, index: int, table):
+    """at(c, bud, index), built once per enumeration when a table is
+    given: the table maps (id(c), index) to the value."""
+    if table is None:
+        return at(c, bud, index)
+    key = (id(c), index)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = at(c, bud, index, table)
+    return value
+
+
+def object_at(c: CatExpr, bud: Budget, index: int, table=None):
     if isinstance(c, CatBase):
         return c.cat.objects[index]
     if isinstance(c, Prod):
@@ -510,19 +522,19 @@ def object_at(c: CatExpr, bud: Budget, index: int):
         for k, f in enumerate(c.factors):
             rest = math.prod(counts[k + 1 :])
             d, index = divmod(index, rest)
-            vals.append(object_at(f, bud, d))
+            vals.append(_part(object_at, f, bud, d, table))
         return tuple(vals)
     s = count_objects(c.inner, bud)
     for l in range(bud.max_seq_len + 1):
         blocksize = s**l
         if index < blocksize:
             digits = _digits(index, s, l) if l else []
-            return seq(tuple(object_at(c.inner, bud, d) for d in digits))
+            return seq(tuple(_part(object_at, c.inner, bud, d, table) for d in digits))
         index -= blocksize
     raise IndexError("object index out of range")
 
 
-def morphism_at(c: CatExpr, bud: Budget, index: int):
+def morphism_at(c: CatExpr, bud: Budget, index: int, table=None):
     if isinstance(c, CatBase):
         return c.cat.all_morphisms()[index]
     if isinstance(c, Prod):
@@ -531,7 +543,7 @@ def morphism_at(c: CatExpr, bud: Budget, index: int):
         for k, f in enumerate(c.factors):
             rest = math.prod(counts[k + 1 :])
             d, index = divmod(index, rest)
-            vals.append(morphism_at(f, bud, d))
+            vals.append(_part(morphism_at, f, bud, d, table))
         return tuple(vals)
     m = count_morphisms(c.inner, bud)
     lev = level_of(c.inner)
@@ -541,7 +553,8 @@ def morphism_at(c: CatExpr, bud: Budget, index: int):
             perm_idx, rest = divmod(index, m**l)
             perm = all_perms(l)[perm_idx]
             comps = tuple(
-                morphism_at(c.inner, bud, d) for d in (_digits(rest, m, l) if l else [])
+                _part(morphism_at, c.inner, bud, d, table)
+                for d in (_digits(rest, m, l) if l else [])
             )
             source = seq(tuple(lev.src(x) for x in comps))
             target = [None] * l
@@ -592,10 +605,13 @@ def _check_nest(c: CatExpr, bud: Budget):
 
 
 def enumerate_objects(c: CatExpr, bud: Budget):
-    """All objects (or a seeded sample when over budget), smallest first."""
+    """All objects (or a seeded sample when over budget), smallest first.
+    Each component object is built once and shared by every point that
+    contains it."""
     _check_nest(c, bud)
     idxs, truncated = _indices(count_objects(c, bud), bud)
-    vals = [object_at(c, bud, i) for i in idxs]
+    table: dict = {}
+    vals = [object_at(c, bud, i, table) for i in idxs]
     vals.sort(key=_obj_size)
     return vals, truncated
 
@@ -603,7 +619,8 @@ def enumerate_objects(c: CatExpr, bud: Budget):
 def enumerate_morphisms(c: CatExpr, bud: Budget):
     _check_nest(c, bud)
     idxs, truncated = _indices(count_morphisms(c, bud), bud)
-    vals = [morphism_at(c, bud, i) for i in idxs]
+    table: dict = {}
+    vals = [morphism_at(c, bud, i, table) for i in idxs]
     vals.sort(key=_mor_size)
     return vals, truncated
 
@@ -656,12 +673,47 @@ def _monoid_mult_mor(f: MonoidMult, m):
     return f.monoid.cat.identity(f.monoid.fold(sources))
 
 
+# While a law check runs: id(inner) -> (inner, its memoized entrywise
+# actions).  Holding inner keeps its id from being reused during the check.
+_entry_table: Optional[dict] = None
+
+
 def _tfun(inner: FunExpr) -> Fun:
-    """The entrywise actions of inner, looked up once for a whole sequence."""
+    """The entrywise actions of inner, looked up once for a whole sequence.
+    While a check runs they are memoized, so each distinct entry is
+    evaluated once per check."""
+    table = _entry_table
+    if table is not None:
+        hit = table.get(id(inner))
+        if hit is not None:
+            return hit[1]
     actions = _FUN_ACTIONS.get(type(inner))
     if actions is None:
         raise TypecheckError(f"not a functor expression: {inner!r}")
-    return Fun(partial(actions[0], inner), partial(actions[1], inner))
+    on_obj, on_mor = partial(actions[0], inner), partial(actions[1], inner)
+    if table is None:
+        return Fun(on_obj, on_mor)
+    # entries that hold sequence morphisms seldom repeat, so only base
+    # morphisms and tuples of them are kept
+    if free_depth(fun_dom(inner)) == 0:
+        on_mor = _memoized(on_mor)
+    fun = Fun(_memoized(on_obj), on_mor)
+    table[id(inner)] = (inner, fun)
+    return fun
+
+
+def _memoized(action):
+    """action with its results kept by argument; a call that raises keeps
+    nothing, so it raises again at the next point."""
+    results: dict = {}
+
+    def memo(v):
+        out = results.get(v)
+        if out is None:
+            out = results[v] = action(v)
+        return out
+
+    return memo
 
 
 _FUN_ACTIONS = {
@@ -806,6 +858,25 @@ def _counterexample(point, left, right, note="") -> dict:
     return out
 
 
+def _sharing(check):
+    """Open the entry table for the outermost checker call; nested calls
+    share it, and it is dropped when that call returns or raises."""
+
+    @wraps(check)
+    def run(*args, **kwargs):
+        global _entry_table
+        if _entry_table is not None:
+            return check(*args, **kwargs)
+        _entry_table = {}
+        try:
+            return check(*args, **kwargs)
+        finally:
+            _entry_table = None
+
+    return run
+
+
+@_sharing
 def equal_fun(f: FunExpr, g: FunExpr, bud: Budget) -> Report:
     """Pointwise equality of two functor expressions on objects and
     morphisms of their shared domain."""
@@ -857,6 +928,7 @@ def _equal_on(f: FunExpr, g: FunExpr, objs, mors, truncated: bool) -> Report:
     return Report("equal-fun", True, points, truncated)
 
 
+@_sharing
 def equal_cell(a: CellExpr, b: CellExpr, bud: Budget) -> Report:
     """Pointwise equality of two cells: first their source and target
     1-cells extensionally, then the components at every enumerated point.
@@ -918,6 +990,7 @@ def _endpoint_drift(lev: Level, component, want_src, want_tgt) -> str:
     return ""
 
 
+@_sharing
 def check_naturality(alpha: CellExpr, bud: Budget) -> Report:
     """The components of a cell assemble into a natural transformation:
     both square routes agree on every enumerated morphism."""

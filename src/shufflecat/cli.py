@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -150,10 +151,21 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2
+    try:
+        bud = _budget(args)
+    except ValueError as exc:
+        print(f"run: invalid budget: {exc}", file=sys.stderr)
+        return 2
+    if args.report:
+        report_dir = Path(args.report).parent
+        if (not report_dir.is_dir() or not os.access(report_dir, os.W_OK)
+                or Path(args.report).is_dir()):
+            print(f"run: cannot write the report to {args.report}", file=sys.stderr)
+            return 2
     ctx = SuiteContext(
         base=CatBase(_load_base(args.base)),
         monoid=_load_monoid_arg(args.monoid),
-        bud=_budget(args),
+        bud=bud,
     )
     results = run_suites(ids, ctx, timings=args.timings)
     print(render_table(results))

@@ -185,16 +185,6 @@ def sym_mor(inner: Level, x: SeqObj, sigma: Perm) -> SeqMor:
     return SeqMor(source, x, sigma, comps)
 
 
-def check_seq_mor(inner: Level, m: SeqMor) -> None:
-    """Validate component endpoints against the stated source and target."""
-    for i in range(1, len(m.components) + 1):
-        c = m.components[i - 1]
-        if inner.src(c) != m.source.entries[i - 1]:
-            raise ValueError(f"component {i} does not start at source entry {i}")
-        if inner.tgt(c) != m.target.entries[m.perm(i) - 1]:
-            raise ValueError(f"component {i} does not end at target entry {m.perm(i)}")
-
-
 def compose_seq(inner: Level, m2: SeqMor, m1: SeqMor) -> SeqMor:
     """m1 followed by m2; the second batch of components is re-indexed
     through m1's permutation before composing entrywise."""

@@ -46,6 +46,7 @@ from .calculus import (
     ApplyT,
     ApplyTCell,
     Budget,
+    BudgetError,
     CatBase,
     CatExpr,
     CellExpr,
@@ -1321,7 +1322,12 @@ def run_suites(ids, ctx: SuiteContext, timings: bool = False) -> list[dict]:
         start = time.perf_counter()
         checks = []
         for name, thunk in suite.build(ctx):
-            report = thunk()
+            try:
+                report = thunk()
+            except BudgetError as exc:
+                # the check could not run at this budget; the others still can
+                report = Report(kind="harness", passed=False, points=0,
+                                truncated=False, phase="harness", detail=str(exc))
             checks.append({"name": name, **report.to_dict()})
         entry = {
             "suite": ident,

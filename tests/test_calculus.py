@@ -531,3 +531,118 @@ def test_mutation_after_first_evaluation_is_observed():
         assert eval_cell(G, (x, y)).perm == invert(before[2].perm)
     assert (eval_fun(strength, point), eval_fun(lifted, outer),
             eval_cell(G, (x, y))) == before
+
+
+# ---------------------------------------------------------------- sharing
+
+
+class _CountingTable(FunTable):
+    """A FunTable that records every entry it is asked about."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def on_obj(self, obj):
+        self.asked.append(obj)
+        return super().on_obj(obj)
+
+    def on_mor(self, m):
+        self.asked.append(m)
+        return super().on_mor(m)
+
+
+def _collapse_table(object_map=None):
+    return _CountingTable(ARROW, ARROW, object_map or {"x": "x", "y": "x"},
+                          {"f": "id_x", "id_x": "id_x", "id_y": "id_x"})
+
+
+def test_entry_is_evaluated_once_per_check():
+    table = _collapse_table()
+    lifted = ApplyT(FunBase(table))
+    report = equal_fun(lifted, lifted, BUD)
+    assert report.passed
+    assert sorted(table.asked) == sorted(ARROW.objects + ARROW.all_morphisms())
+    # the same points evaluated outside a check ask about every occurrence
+    table.asked.clear()
+    objs, _ = enumerate_objects(Free(W), BUD)
+    for o in objs:
+        eval_fun(lifted, o)
+    assert len(table.asked) == sum(len(o.entries) for o in objs) > 2
+
+
+def test_raising_entry_gives_the_memo_free_report():
+    # "y" has no image, so every point holding a y raises
+    f = ApplyT(FunBase(_collapse_table({"x": "x"})))
+    g = Compose((f, Identity(Free(W))))
+    objs, t_objs = enumerate_objects(Free(W), BUD)
+    mors, t_mors = enumerate_morphisms(Free(W), BUD)
+    want = calculus._equal_on(f, g, objs, mors, t_objs or t_mors)
+    got = equal_fun(f, g, BUD)
+    assert not got.passed and "error" in got.counterexample
+    assert got == want
+
+
+def test_raising_call_is_not_kept():
+    outcomes = iter([KeyError("y"), "x"])
+
+    def flaky(v):
+        out = next(outcomes)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    memo = calculus._memoized(flaky)
+    with pytest.raises(KeyError):
+        memo("y")
+    assert memo("y") == "x" and memo("y") == "x"
+
+
+def test_mutation_between_checks_is_observed():
+    p = Prod((Free(A),))
+    lifted = ApplyT(Strength((A,), 1))
+    other = ApplyT(Compose((Proj(p, 1), ApplyT(Tuple((Identity(A),))))))
+    bud = Budget(max_seq_len=2)
+    assert equal_fun(lifted, other, bud).passed
+    with inject("strength-entry-order"):
+        report = equal_fun(lifted, other, bud)
+    # seen already at an object, whose entries the first check evaluated
+    assert not report.passed and "note" not in report.counterexample
+    assert equal_fun(lifted, other, bud).passed
+
+
+def test_no_table_outlives_a_check():
+    table = _collapse_table()
+    seen = []
+    table.on_obj = lambda obj: seen.append(calculus._entry_table) or "x"
+    lifted = ApplyT(FunBase(table))
+    assert equal_fun(lifted, lifted, BUD).passed
+    assert seen and all(t is seen[0] and t is not None for t in seen)
+    assert calculus._entry_table is None
+    with pytest.raises(BudgetError):
+        equal_fun(lifted, lifted, Budget(max_nest=0))
+    assert calculus._entry_table is None
+    seen.clear()
+    eval_cell(IdCell(lifted), seq(("x", "y")))
+    assert seen == [None, None]
+
+
+def _enumerate_reference(at, count, size, c, bud):
+    """enumerate_* with each point built on its own, sharing nothing."""
+    idxs, truncated = calculus._indices(count(c, bud), bud)
+    return sorted((at(c, bud, i) for i in idxs), key=size), truncated
+
+
+@pytest.mark.parametrize("c, bud, sampled", [
+    (Prod((Free(A), A)), BUD, False),
+    (Free(Free(A)), Budget(max_seq_len=2), False),
+    (Free(Free(W)), Budget(max_seq_len=2, max_points=40, seed=5), True),
+], ids=["product", "nested", "sampled"])
+def test_shared_enumeration_equals_the_memo_free_reference(c, bud, sampled):
+    want_objs = _enumerate_reference(
+        calculus.object_at, count_objects, calculus._obj_size, c, bud)
+    want_mors = _enumerate_reference(
+        calculus.morphism_at, count_morphisms, calculus._mor_size, c, bud)
+    assert enumerate_objects(c, bud) == want_objs
+    assert enumerate_morphisms(c, bud) == want_mors
+    assert want_objs[1] == want_mors[1] == sampled

@@ -162,3 +162,31 @@ def test_catalog_lists_every_suite(capsys):
 
 def test_missing_command_is_a_usage_error():
     assert cli.main([]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--max-seq-len", "0"), ("--max-points", "-5")])
+def test_run_invalid_budget_is_a_usage_error(capsys, flag, value):
+    assert cli.main(["run", "--suite", "monad.laws", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: invalid budget") and err.count("\n") == 1
+
+
+def test_run_unwritable_report_fails_before_the_run(monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("suites ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_suites", no_run)
+    assert cli.main([*RUN_FAST, "--report", "/nonexistent/dir/out.json"]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
+
+
+def test_run_budget_error_fails_only_its_check(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main([*RUN_FAST, "--max-nest", "0", "--report", str(out)]) == 1
+    checks = json.loads(out.read_text())[0]["checks"]
+    harness = [c for c in checks if c["phase"] == "harness"]
+    assert harness and all(not c["passed"] for c in harness)
+    assert all("nesting depth" in c["detail"] for c in harness)
+    # the checks that fit the budget still ran
+    assert any(c["passed"] and c["points"] > 0 for c in checks)
+    assert "check(s) failed" in capsys.readouterr().out
