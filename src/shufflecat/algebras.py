@@ -106,6 +106,14 @@ def _with_free(cats: Sequence[CatExpr], i: int) -> tuple[CatExpr, ...]:
     return tuple(out)
 
 
+def _at_slot(cats: Sequence[CatExpr], i: int, g: FunExpr) -> FunExpr:
+    """The product map on cats that applies g at slot i and identities
+    elsewhere."""
+    funs = [Identity(c) for c in cats]
+    funs[i - 1] = g
+    return prod_map(cats, tuple(funs))
+
+
 @dataclass(frozen=True)
 class MultiCell:
     """Functor out of a product of carriers plus one constraint per slot.
@@ -154,13 +162,9 @@ class MultiCell:
 
     def square_target(self, i: int) -> FunExpr:
         """Route that acts on the freed slot first, then applies."""
-        funs = [Identity(c) for c in self.carriers]
-        funs[i - 1] = self.inputs[i - 1].structure
+        free_i = _with_free(self.carriers, i)
         return Compose(
-            (
-                prod_map(_with_free(self.carriers, i), tuple(funs)),
-                self.underlying,
-            )
+            (_at_slot(free_i, i, self.inputs[i - 1].structure), self.underlying)
         )
 
 
@@ -208,9 +212,7 @@ def _square_check(m: MultiCell, i: int, bud: Budget) -> Report:
 
 def _eta_check(m: MultiCell, i: int, bud: Budget) -> Report:
     carriers = m.carriers
-    funs = [Identity(c) for c in carriers]
-    funs[i - 1] = Eta(carriers[i - 1])
-    lhs = WhiskerL(prod_map(carriers, tuple(funs)), m.constraints[i - 1])
+    lhs = WhiskerL(_at_slot(carriers, i, Eta(carriers[i - 1])), m.constraints[i - 1])
     return equal_cell(lhs, IdCell(m.underlying), _fit(bud, Prod(carriers)))
 
 
@@ -221,13 +223,9 @@ def _mu_check(m: MultiCell, i: int, bud: Budget) -> Report:
     kappa = m.constraints[i - 1]
     once = _with_free(carriers, i)
     twice = _with_free(once, i)
-    funs = [Identity(c) for c in once]
-    funs[i - 1] = Mu(carriers[i - 1])
-    lhs = WhiskerL(prod_map(twice, tuple(funs)), kappa)
+    lhs = WhiskerL(_at_slot(twice, i, Mu(carriers[i - 1])), kappa)
     upper = WhiskerL(Strength(once, i), WhiskerR(ApplyTCell(kappa), b))
-    funs2 = [Identity(c) for c in once]
-    funs2[i - 1] = ApplyT(a_i)
-    lower = WhiskerL(prod_map(twice, tuple(funs2)), kappa)
+    lower = WhiskerL(_at_slot(twice, i, ApplyT(a_i)), kappa)
     return equal_cell(lhs, VComp((upper, lower)), _fit(bud, Prod(twice)))
 
 
@@ -238,22 +236,17 @@ def _coherence_check(m: MultiCell, i: int, j: int, bud: Budget) -> Report:
     d_j = _with_free(carriers, j)
     d_ij = _with_free(d_i, j)
     k_i, k_j = m.constraints[i - 1], m.constraints[j - 1]
-
-    funs_cj = [Identity(c) for c in d_ij]
-    funs_cj[j - 1] = m.inputs[j - 1].structure
     one = VComp(
         (
             WhiskerL(Strength(d_j, i), WhiskerR(ApplyTCell(k_j), b)),
-            WhiskerL(prod_map(d_ij, tuple(funs_cj)), k_i),
+            WhiskerL(_at_slot(d_ij, j, m.inputs[j - 1].structure), k_i),
         )
     )
-    funs_ci = [Identity(c) for c in d_ij]
-    funs_ci[i - 1] = m.inputs[i - 1].structure
     two = VComp(
         (
             WhiskerR(Gamma(carriers, i, j), Compose((ApplyT(m.underlying), b))),
             WhiskerL(Strength(d_i, j), WhiskerR(ApplyTCell(k_i), b)),
-            WhiskerL(prod_map(d_ij, tuple(funs_ci)), k_j),
+            WhiskerL(_at_slot(d_ij, i, m.inputs[i - 1].structure), k_j),
         )
     )
     return equal_cell(one, two, _fit(bud, Prod(d_ij)))
@@ -291,9 +284,7 @@ def validate_twocell(t: MultiTwoCell, bud: Budget) -> list[tuple[str, Report]]:
     ]
     for i in range(1, t.source.arity + 1):
         d_i = _with_free(carriers, i)
-        funs = [Identity(c) for c in d_i]
-        funs[i - 1] = t.source.inputs[i - 1].structure
-        clear = prod_map(d_i, tuple(funs))
+        clear = _at_slot(d_i, i, t.source.inputs[i - 1].structure)
         one = VComp((t.source.constraints[i - 1], WhiskerL(clear, t.component)))
         two = VComp(
             (
@@ -552,48 +543,6 @@ def _with_perm(f: FunExpr, p: Perm) -> FunExpr:
     return Compose((shuffle_into(fun_dom(f).factors, p), f))
 
 
-def _generator_component(base_cats: tuple[CatExpr, ...], i: int, g: FunExpr) -> CellExpr:
-    # interchange of the freed adjacent pair (i, i+1) inside the grouped
-    # interleaving, relabelled back to the unpermuted slot order of g
-    n = len(base_cats)
-    s = perms.transposition(n, i)
-    swapped = perms.permute(base_cats, s)
-    dp = Prod(_frees(swapped))
-    pair = Prod((base_cats[i], base_cats[i - 1]))
-    parts: list[CellExpr] = []
-    blockcats: list[CatExpr] = []
-    for l in range(1, n + 1):
-        if l == i:
-            parts.append(
-                WhiskerL(
-                    Tuple((Proj(dp, i), Proj(dp, i + 1))),
-                    Gamma((base_cats[i], base_cats[i - 1])),
-                )
-            )
-            blockcats.append(pair)
-        elif l == i + 1:
-            continue
-        else:
-            parts.append(IdCell(Proj(dp, l)))
-            blockcats.append(swapped[l - 1])
-    op = Prod(tuple(blockcats))
-    relabel_parts: list[FunExpr] = []
-    for m in range(1, n + 1):
-        if m == i:
-            relabel_parts.append(Compose((Proj(op, i), Proj(pair, 2))))
-        elif m == i + 1:
-            relabel_parts.append(Compose((Proj(op, i), Proj(pair, 1))))
-        elif m < i:
-            relabel_parts.append(Proj(op, m))
-        else:
-            relabel_parts.append(Proj(op, m - 1))
-    relabel = Tuple(tuple(relabel_parts))
-    return WhiskerR(
-        TupleCell(tuple(parts)),
-        Compose((Omega(tuple(blockcats)), ApplyT(relabel), ApplyT(g))),
-    )
-
-
 def pseudo_sym(f: FunExpr, sigma: Perm, word: Sequence[int] | None = None) -> MultiTwoCell:
     """Comparison cell from the free cell of the slot-permuted functor to
     the permuted free cell, pasted from adjacent interchanges.
@@ -620,7 +569,9 @@ def pseudo_sym(f: FunExpr, sigma: Perm, word: Sequence[int] | None = None) -> Mu
     p = perms.identity(n)
     for i in word:
         s = perms.transposition(n, i)
-        g_cell = _generator_component(perms.permute(inners, p), i, _with_perm(f, p))
+        g_cell = WhiskerR(
+            _swap_cell(perms.permute(inners, p), s, i), ApplyT(_with_perm(f, p))
+        )
         p = perms.compose(p, s)
         if comp is None:
             comp = g_cell
@@ -650,13 +601,12 @@ def omega_sigma_fun(inners: Sequence[CatExpr], sigma: Perm) -> FunExpr:
     )
 
 
-def _cover_cell(inners: tuple[CatExpr, ...], sigma: Perm, i: int) -> CellExpr:
-    # interchange the adjacent pair (i, i+1) of the sigma-ordered walk;
-    # the cell lives on the unpermuted domain shared by all walks
+def _swap_cell(inners: tuple[CatExpr, ...], sigma: Perm, i: int) -> CellExpr:
+    # interchange of the adjacent pair (i, i+1) of the sigma-ordered walk,
+    # out of the sigma-permuted free factors, relabelled back to slot order
     n = len(inners)
-    frees = _frees(inners)
     permuted = perms.permute(inners, sigma)
-    dpp = Prod(perms.permute(frees, sigma))
+    dpp = Prod(_frees(permuted))
     pair = Prod((permuted[i - 1], permuted[i]))
     parts: list[CellExpr] = []
     blockcats: list[CatExpr] = []
@@ -687,14 +637,15 @@ def _cover_cell(inners: tuple[CatExpr, ...], sigma: Perm, i: int) -> CellExpr:
             relabel_parts.append(Proj(op, l))
         else:
             relabel_parts.append(Proj(op, l - 1))
-    relabel = Tuple(tuple(relabel_parts))
-    return WhiskerL(
-        Shuffle(Prod(frees), sigma),
-        WhiskerR(
-            TupleCell(tuple(parts)),
-            Compose((Omega(tuple(blockcats)), ApplyT(relabel))),
-        ),
+    return WhiskerR(
+        TupleCell(tuple(parts)),
+        Compose((Omega(tuple(blockcats)), ApplyT(Tuple(tuple(relabel_parts))))),
     )
+
+
+def _cover_cell(inners: tuple[CatExpr, ...], sigma: Perm, i: int) -> CellExpr:
+    # the swap cell on the unpermuted domain shared by all walks
+    return WhiskerL(Shuffle(Prod(_frees(inners)), sigma), _swap_cell(inners, sigma, i))
 
 
 def bruhat_omega(inners: Sequence[CatExpr]) -> dict:
@@ -727,11 +678,6 @@ def phi_T_cell(f: FunExpr, sigma: Perm, tau: Perm) -> MultiTwoCell:
     )
     acted = sigma_act_cell(base, sigma)
     return MultiTwoCell(phi_T(f, sigma), phi_T(f, tau), acted.component)
-
-
-def block_perm(sigma: Perm, taus: Sequence[Perm]) -> Perm:
-    """Permutation acting on blocks by sigma and inside block t by taus[t-1]."""
-    return perms.block(sigma, list(taus))
 
 
 def structure_cell(alg: Algebra) -> MultiCell:

@@ -1,11 +1,12 @@
 """Expression trees for categories, functors and 2-cells, plus a bounded
 pointwise equality checker.
 
-Category expressions are built from finite base categories with flat n-ary
-products and the free symmetric monoidal construction; functor expressions
-name the structural maps (projections, shuffles, eta, mu, strengths, the
-interleavings) and compose in diagrammatic order; cell expressions paste
-interchange cells with whiskering, vertical, and horizontal composition.
+Category expressions (defined in freesmc, re-exported here) are built from
+finite base categories with flat n-ary products and the free symmetric
+monoidal construction; functor expressions name the structural maps
+(projections, shuffles, eta, mu, strengths, the interleavings) and compose
+in diagrammatic order; cell expressions paste interchange cells with
+whiskering, vertical, and horizontal composition.
 
 Equality of functors or 2-cells is decided pointwise over a deterministic
 bounded enumeration of the domain: smallest inputs first, so the first
@@ -23,13 +24,13 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
 from typing import Optional, Union
 
-from .fincat import CommMonoid, FinCat, FunTable
+from .fincat import CommMonoid, FunTable
 from .freesmc import (
-    BaseLevel,
-    FreeLevel,
+    CatBase,
+    CatExpr,
+    Free,
     Fun,
-    Level,
-    ProdLevel,
+    Prod,
     SeqMor,
     SeqObj,
     eta,
@@ -63,22 +64,6 @@ class BudgetError(CalcError):
 # ------------------------------------------------------------- categories
 
 
-@dataclass(frozen=True)
-class CatBase:
-    cat: FinCat
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Free:
-    inner: "CatExpr"
-
-
-CatExpr = Union[CatBase, Prod, Free]
 UNIT = Prod(())
 
 
@@ -90,15 +75,12 @@ def free_depth(c: CatExpr) -> int:
     return 1 + free_depth(c.inner)
 
 
-@lru_cache(maxsize=None)
-def level_of(c: CatExpr) -> Level:
-    if isinstance(c, CatBase):
-        return BaseLevel(c.cat)
-    if isinstance(c, Prod):
-        return ProdLevel(tuple(level_of(f) for f in c.factors))
-    if isinstance(c, Free):
-        return FreeLevel(level_of(c.inner))
-    raise TypecheckError(f"not a category expression: {c!r}")
+def level_of(c: CatExpr) -> CatExpr:
+    """c itself, once checked: a category expression supplies its own
+    identities, composition and endpoints."""
+    if not isinstance(c, (CatBase, Prod, Free)):
+        raise TypecheckError(f"not a category expression: {c!r}")
+    return c
 
 
 # ------------------------------------------------------------- functors
@@ -349,7 +331,8 @@ CELL_TYPES = (
 def gamma_source(slots: tuple, i: int, j: int) -> FunExpr:
     """The 1-cell that interleaves slot i before slot j: apply the strength
     at slot i with slot j still free, then the freed strength at slot j,
-    then flatten."""
+    then flatten.  Gamma(slots, i, j) runs from gamma_source(slots, i, j)
+    to gamma_source(slots, j, i)."""
     with_free_j = tuple(Free(s) if k == j - 1 else s for k, s in enumerate(slots))
     return Compose(
         (
@@ -358,10 +341,6 @@ def gamma_source(slots: tuple, i: int, j: int) -> FunExpr:
             Mu(Prod(tuple(slots))),
         )
     )
-
-
-def gamma_target(slots: tuple, i: int, j: int) -> FunExpr:
-    return gamma_source(slots, j, i)
 
 
 def cell_endpoints(e: CellExpr, path: str = "") -> tuple:
@@ -380,13 +359,13 @@ def cell_endpoints(e: CellExpr, path: str = "") -> tuple:
         _check_gamma(e, where)
         return (
             gamma_source(e.slots, e.i, e.j),
-            gamma_target(e.slots, e.i, e.j),
+            gamma_source(e.slots, e.j, e.i),
         )
     if isinstance(e, GammaInv):
         _check_gamma(e, where)
         return (
             gamma_source(e.slots, e.j, e.i),
-            gamma_target(e.slots, e.j, e.i),
+            gamma_source(e.slots, e.i, e.j),
         )
     if isinstance(e, VComp):
         if not e.parts:
@@ -440,6 +419,9 @@ def _check_gamma(e, where):
     if e.i == e.j or not (1 <= e.i <= n and 1 <= e.j <= n):
         raise TypecheckError(f"{where}: interchange slots out of range")
     if e.partition != "canonical":
+        three = isinstance(e.partition, tuple) and len(e.partition) == 3
+        if not (three and all(type(b) is int for b in e.partition)):
+            raise TypecheckError(f"{where}: partition must be three bar positions")
         b1, b2, b3 = e.partition
         p, q = min(e.i, e.j), max(e.i, e.j)
         if not (0 <= b1 < p <= b2 < q <= b3 <= n):
@@ -545,21 +527,21 @@ def morphism_at(c: CatExpr, bud: Budget, index: int, table=None):
             d, index = divmod(index, rest)
             vals.append(_part(morphism_at, f, bud, d, table))
         return tuple(vals)
-    m = count_morphisms(c.inner, bud)
-    lev = level_of(c.inner)
+    inner = c.inner
+    m = count_morphisms(inner, bud)
     for l in range(bud.max_seq_len + 1):
         blocksize = math.factorial(l) * m**l
         if index < blocksize:
             perm_idx, rest = divmod(index, m**l)
             perm = all_perms(l)[perm_idx]
             comps = tuple(
-                _part(morphism_at, c.inner, bud, d, table)
+                _part(morphism_at, inner, bud, d, table)
                 for d in (_digits(rest, m, l) if l else [])
             )
-            source = seq(tuple(lev.src(x) for x in comps))
+            source = seq(tuple(inner.src(x) for x in comps))
             target = [None] * l
             for i in range(1, l + 1):
-                target[perm(i) - 1] = lev.tgt(comps[i - 1])
+                target[perm(i) - 1] = inner.tgt(comps[i - 1])
             return SeqMor(source, seq(tuple(target)), perm, comps)
         index -= blocksize
     raise IndexError("morphism index out of range")
@@ -662,10 +644,9 @@ def _compose_mor(f: Compose, m):
 
 
 def _strength_mor(f: Strength, m):
-    # strength_ti_mor never reads the level of the freed slot, so the
-    # slots' own levels serve
-    levels = tuple([level_of(c) for c in f.slots])
-    return strength_ti_mor(levels, len(f.slots), f.i, m)
+    # strength_ti_mor never reads the category of the freed slot, so the
+    # slots themselves serve
+    return strength_ti_mor(f.slots, len(f.slots), f.i, m)
 
 
 def _monoid_mult_mor(f: MonoidMult, m):
@@ -752,8 +733,7 @@ def eval_cell(e: CellExpr, x, hcomp_order: int = 1):
 
 
 def _gamma_component(e, x, i: int, j: int):
-    levels = tuple([level_of(s) for s in e.slots])
-    return gamma_ij_component(levels, len(e.slots), i, j, x, e.partition)
+    return gamma_ij_component(e.slots, len(e.slots), i, j, x, e.partition)
 
 
 def _vcomp_component(e: VComp, x, hcomp_order: int):
@@ -982,7 +962,7 @@ def equal_cell(a: CellExpr, b: CellExpr, bud: Budget) -> Report:
     return Report("equal-cell", True, points, truncated)
 
 
-def _endpoint_drift(lev: Level, component, want_src, want_tgt) -> str:
+def _endpoint_drift(lev: CatExpr, component, want_src, want_tgt) -> str:
     if lev.src(component) != want_src:
         return "source"
     if lev.tgt(component) != want_tgt:

@@ -45,6 +45,8 @@ def _load_doc(path: str) -> dict:
         raise UsageError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FinCatError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FinCatError(f"{path}: nested too deeply") from None
 
 
 def _load_base(name: str):
@@ -198,10 +200,13 @@ def cmd_eval(args) -> int:
     except (CalcError, FinCatError) as exc:
         print(f"eval: ill-typed expression: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("eval: expression or literal nested too deeply", file=sys.stderr)
+        return 2
     try:
         mor = eval_cell(cell, x)
         print(json.dumps(data_of_mor(cod, mor)))
-    except (CalcError, FinCatError, ValueError, KeyError) as exc:
+    except (CalcError, FinCatError, ValueError, KeyError, RecursionError) as exc:
         print(f"eval: evaluation failed: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -5,12 +5,18 @@ together with one base morphism per source entry.  Entry i of the source is
 carried to slot perm(i) of the target by components[i-1], so composing two
 morphisms re-indexes the outer components through the inner permutation.
 
+Category expressions (CatBase, Prod, Free) live here and supply their own
+identities, composition and endpoints: the free category on C takes those
+of its entries from C, so sequences nest to any depth.  The calculus module
+re-exports them.
+
 >>> from shufflecat.fincat import load_fincat
 >>> from shufflecat.perms import Perm
 >>> arrow = load_fincat({
 ...     "name": "arrow", "objects": ["x", "y"],
 ...     "morphisms": [{"id": "f", "src": "x", "tgt": "y"}], "compose": []})
->>> lev = BaseLevel(arrow)
+>>> Free(CatBase(arrow)).identity(seq(("x", "y"))).perm
+Perm((1, 2))
 >>> eta("x")
 SeqObj(('x',))
 >>> mu(seq((seq(("x", "y")), seq(("x",)))))
@@ -28,7 +34,7 @@ shuffling; on a pair of 2-entry sequences it transposes the middle:
 
 >>> lab = load_fincat({"name": "lab", "objects": ["a1", "a2", "b1", "b2"],
 ...                    "morphisms": [], "compose": []})
->>> gamma_component(BaseLevel(lab), BaseLevel(lab), x, y).perm
+>>> gamma_component(CatBase(lab), CatBase(lab), x, y).perm
 Perm((1, 3, 2, 4))
 """
 
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .fincat import FinCat
 from .perms import Perm, block, block_right, compose, identity, invert, permute
@@ -90,29 +96,10 @@ class SeqMor:
             raise ValueError("need one component per entry")
 
 
-class Level:
-    """How to treat entries of a sequence as objects and morphisms.
-
-    The free construction nests: entries of a sequence can be base objects,
-    tuples, or sequences again.  A Level supplies identities, composition
-    and endpoints for whatever the entries are at that depth.
-    """
-
-    def identity(self, obj):
-        raise NotImplementedError
-
-    def comp(self, m2, m1):
-        raise NotImplementedError
-
-    def src(self, m):
-        raise NotImplementedError
-
-    def tgt(self, m):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class BaseLevel(Level):
+class CatBase:
+    """A finite base category; its morphisms are the base's own."""
+
     cat: FinCat
 
     def identity(self, obj):
@@ -129,7 +116,10 @@ class BaseLevel(Level):
 
 
 @dataclass(frozen=True)
-class ProdLevel(Level):
+class Prod:
+    """A flat product: objects and morphisms are tuples, one entry per
+    factor."""
+
     factors: tuple
 
     def _zip(self, m):
@@ -141,9 +131,7 @@ class ProdLevel(Level):
         return tuple(f.identity(o) for f, o in self._zip(obj))
 
     def comp(self, m2, m1):
-        if len(m2) != len(self.factors):
-            raise ValueError("tuple length does not match product arity")
-        return tuple(f.comp(a, b) for (f, b), a in zip(self._zip(m1), m2))
+        return tuple(f.comp(a, b) for (f, a), (_, b) in zip(self._zip(m2), self._zip(m1)))
 
     def src(self, m):
         return tuple(f.src(c) for f, c in self._zip(m))
@@ -153,8 +141,11 @@ class ProdLevel(Level):
 
 
 @dataclass(frozen=True)
-class FreeLevel(Level):
-    inner: Level
+class Free:
+    """The free symmetric strict monoidal category on inner: identities
+    and composition of entries come from inner."""
+
+    inner: CatExpr
 
     def identity(self, obj):
         return identity_seq(self.inner, obj)
@@ -169,12 +160,15 @@ class FreeLevel(Level):
         return m.target
 
 
-def identity_seq(inner: Level, x: SeqObj) -> SeqMor:
+CatExpr = Union[CatBase, Prod, Free]
+
+
+def identity_seq(inner: CatExpr, x: SeqObj) -> SeqMor:
     n = len(x.entries)
     return SeqMor(x, x, identity(n), tuple(inner.identity(e) for e in x.entries))
 
 
-def sym_mor(inner: Level, x: SeqObj, sigma: Perm) -> SeqMor:
+def sym_mor(inner: CatExpr, x: SeqObj, sigma: Perm) -> SeqMor:
     """The pure shuffle into x whose underlying permutation is sigma.
 
     Its source lists the entries of x rearranged so that source entry i is
@@ -185,7 +179,7 @@ def sym_mor(inner: Level, x: SeqObj, sigma: Perm) -> SeqMor:
     return SeqMor(source, x, sigma, comps)
 
 
-def compose_seq(inner: Level, m2: SeqMor, m1: SeqMor) -> SeqMor:
+def compose_seq(inner: CatExpr, m2: SeqMor, m1: SeqMor) -> SeqMor:
     """m1 followed by m2; the second batch of components is re-indexed
     through m1's permutation before composing entrywise."""
     if m1.target != m2.source:
@@ -230,7 +224,7 @@ def eta(a) -> SeqObj:
     return SeqObj((a,))
 
 
-def eta_mor(inner: Level, f) -> SeqMor:
+def eta_mor(inner: CatExpr, f) -> SeqMor:
     return SeqMor(eta(inner.src(f)), eta(inner.tgt(f)), identity(1), (f,))
 
 
@@ -262,7 +256,7 @@ def strength_t2(a, y: SeqObj) -> SeqObj:
     return SeqObj(tuple((a, c) for c in y.entries))
 
 
-def strength_t2_mor(alev: Level, f, m: SeqMor) -> SeqMor:
+def strength_t2_mor(alev: CatExpr, f, m: SeqMor) -> SeqMor:
     a0, a1 = alev.src(f), alev.tgt(f)
     return SeqMor(
         strength_t2(a0, m.source),
@@ -277,7 +271,7 @@ def strength_t1(x: SeqObj, b) -> SeqObj:
     return SeqObj(tuple((c, b) for c in x.entries))
 
 
-def strength_t1_mor(blev: Level, m: SeqMor, g) -> SeqMor:
+def strength_t1_mor(blev: CatExpr, m: SeqMor, g) -> SeqMor:
     b0, b1 = blev.src(g), blev.tgt(g)
     return SeqMor(
         strength_t1(m.source, b0),
@@ -426,7 +420,7 @@ def omega_sigma_mor(sigma: Perm, ms: tuple) -> SeqMor:
 # ------------------------------------------------------------------ gamma
 
 
-def gamma_component(alev: Level, blev: Level, x: SeqObj, y: SeqObj) -> SeqMor:
+def gamma_component(alev: CatExpr, blev: CatExpr, x: SeqObj, y: SeqObj) -> SeqMor:
     """The shuffle from the row-major to the column-major interleaving.
 
     Source entry (i-1)m+j holds (x_i, y_j) and goes to target slot (j-1)n+i,
@@ -446,14 +440,10 @@ def gamma_component(alev: Level, blev: Level, x: SeqObj, y: SeqObj) -> SeqMor:
     return SeqMor(source, omega_prime(x, y), p, comps)
 
 
-def gamma_inv_component(alev: Level, blev: Level, x: SeqObj, y: SeqObj) -> SeqMor:
-    n, m = len(x.entries), len(y.entries)
+def gamma_inv_component(alev: CatExpr, blev: CatExpr, x: SeqObj, y: SeqObj) -> SeqMor:
     g = gamma_component(alev, blev, x, y)
-    source = omega_prime(x, y)
-    comps = tuple(
-        (alev.identity(a), blev.identity(b)) for a, b in source.entries
-    )
-    return SeqMor(source, omega(x, y), invert(g.perm), comps)
+    ident = identity_seq(Prod((alev, blev)), g.target)
+    return SeqMor(g.target, g.source, invert(g.perm), ident.components)
 
 
 def partitions_for(n: int, i: int, j: int):
@@ -489,8 +479,8 @@ def gamma_ij_component(
         raise ValueError("partition does not isolate the two slots")
     u = strength_ti(b2 - b1, p - b1, args[b1:b2])
     v = strength_ti(b3 - b2, q - b2, args[b2:b3])
-    lev2 = ProdLevel(tuple(levels[b1:b2]))
-    lev3 = ProdLevel(tuple(levels[b2:b3]))
+    lev2 = Prod(tuple(levels[b1:b2]))
+    lev3 = Prod(tuple(levels[b2:b3]))
     if i < j:
         mid = gamma_component(lev2, lev3, u, v)
     else:

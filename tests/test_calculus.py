@@ -11,6 +11,8 @@ import json
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflecat import calculus
 from shufflecat.calculus import (
@@ -56,9 +58,9 @@ from shufflecat.calculus import (
     eval_cell,
     eval_fun,
     eval_fun_mor,
+    free_depth,
     fun_endpoints,
     gamma_source,
-    gamma_target,
     level_of,
     prod_map,
     typecheck,
@@ -129,9 +131,16 @@ def test_gamma_endpoints_are_strength_routes():
     src, tgt = cell_endpoints(g)
     assert src == gamma_source((A, A), 1, 2)
     assert tgt == gamma_source((A, A), 2, 1)
-    assert tgt == gamma_target((A, A), 1, 2)
     gi = GammaInv((A, A))
     assert cell_endpoints(gi) == (tgt, src)
+
+
+@pytest.mark.parametrize("partition", [(1, 2), None, (0, 1, 2, 2)])
+def test_malformed_gamma_partition_is_a_typecheck_error(partition):
+    with pytest.raises(TypecheckError, match="three bar positions"):
+        typecheck(Gamma((A, A), 1, 2, partition))
+    with pytest.raises(TypecheckError):
+        equal_cell(Gamma((A, A), 1, 2, partition), Gamma((A, A)), BUD)
 
 
 def test_vcomp_requires_matching_categories():
@@ -192,6 +201,34 @@ def test_enumerate_morphisms_free_arrow():
     assert len(mors) == 4
     assert all(isinstance(m, SeqMor) for m in mors)
     lev = level_of(A)
+
+
+# ---------------------------------------------------------------- categories
+
+
+def test_level_of_is_a_checked_identity():
+    for c in (A, Prod((A, W)), Free(W)):
+        assert level_of(c) is c
+    with pytest.raises(TypecheckError, match="not a category expression"):
+        level_of(Identity(A))
+
+
+CAT_EXPRS = st.recursive(
+    st.sampled_from([A, W]),
+    lambda inner: st.one_of(
+        st.builds(Free, inner),
+        st.lists(inner, max_size=2).map(lambda fs: Prod(tuple(fs))),
+    ),
+    max_leaves=3,
+).filter(lambda c: free_depth(c) <= 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(CAT_EXPRS)
+def test_identities_are_units_for_composition(c):
+    mors, _ = enumerate_morphisms(c, Budget(max_seq_len=2, max_points=60))
+    for m in mors:
+        assert c.comp(c.identity(c.tgt(m)), m) == m == c.comp(m, c.identity(c.src(m)))
 
 
 # ---------------------------------------------------------------- eval_fun

@@ -190,3 +190,27 @@ def test_run_budget_error_fails_only_its_check(tmp_path, capsys):
     # the checks that fit the budget still ran
     assert any(c["passed"] and c["points"] > 0 for c in checks)
     assert "check(s) failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "expr, literal",
+    [
+        ("(applytcell " * 1200 + "(idcell (identity A))" + ")" * 1200, "x"),
+        ("(idcell (identity A))", "(" * 3000 + "x" + ")" * 3000),
+        # parses and typechecks at this depth, and recurses in evaluation
+        ("(hcomp " * 300 + "(idcell (identity A))" + " (idcell (identity A)))" * 300, "x"),
+    ],
+)
+def test_eval_deep_nesting_is_a_usage_error(capsys, expr, literal):
+    assert cli.main(["eval", expr, literal]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eval: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_fixture_is_invalid(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["validate", str(deep)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+    assert cli.main(["run", "--suite", "monad.laws", "--base", str(deep)]) == 1
+    assert "invalid fixture" in capsys.readouterr().err

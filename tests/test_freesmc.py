@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from shufflecat.fincat import load_fincat
 from shufflecat.freesmc import (
-    BaseLevel,
+    CatBase,
+    Free,
     Fun,
-    FreeLevel,
-    ProdLevel,
+    Prod,
     SeqMor,
     SeqObj,
     compose_seq,
@@ -58,7 +58,7 @@ ARROW = load_fincat(
         "compose": [],
     }
 )
-ALEV = BaseLevel(ARROW)
+ALEV = CatBase(ARROW)
 SWAP = Perm((2, 1))
 
 LABELS = load_fincat(
@@ -69,7 +69,7 @@ LABELS = load_fincat(
         "compose": [],
     }
 )
-LLEV = BaseLevel(LABELS)
+LLEV = CatBase(LABELS)
 
 
 def mors_from(obj):
@@ -173,7 +173,7 @@ def test_mu_erases_parentheses():
 def test_mu_mor_outer_swap_blocks():
     inner1 = seq(("x",))
     inner2 = seq(("y", "x"))
-    flev = FreeLevel(ALEV)
+    flev = Free(ALEV)
     outer = sym_mor(flev, seq((inner2, inner1)), SWAP)
     m = mu_mor(outer)
     assert m.source == seq(("x", "y", "x"))
@@ -209,7 +209,7 @@ def test_mu_mor_pure_perm_oracle(data):
 
 
 def test_mu_mor_compatible_with_compose():
-    flev = FreeLevel(ALEV)
+    flev = Free(ALEV)
     inner = SeqMor(seq(("x",)), seq(("y",)), identity(1), ("f",))
     m1 = sym_mor(flev, seq((seq(("x",)), seq(("x", "y")))), SWAP)
     m2 = SeqMor(
@@ -408,7 +408,7 @@ def test_omega_equals_defining_composite():
 
 
 def omega_mor_via_composite(p, q):
-    flev = FreeLevel(ALEV)
+    flev = Free(ALEV)
     inner = strength_t1_mor(flev, p, q)
     expand = Fun(
         lambda e: strength_t2(e[0], e[1]),
@@ -461,7 +461,7 @@ def test_gamma_label_matching_oracle():
 
 def test_gamma_identity_when_singleton():
     x1, y = seq(("a1",)), seq(("b1", "b2"))
-    plev = ProdLevel((LLEV, LLEV))
+    plev = Prod((LLEV, LLEV))
     g = gamma_component(LLEV, LLEV, x1, y)
     assert g == identity_seq(plev, omega(x1, y))
     h = gamma_component(LLEV, LLEV, y, x1)
@@ -470,7 +470,7 @@ def test_gamma_identity_when_singleton():
 
 def test_gamma_inverse():
     x, y = seq(("a1", "a2", "a3")), seq(("b1", "b2"))
-    plev = ProdLevel((LLEV, LLEV))
+    plev = Prod((LLEV, LLEV))
     g = gamma_component(LLEV, LLEV, x, y)
     gi = gamma_inv_component(LLEV, LLEV, x, y)
     assert gi.perm == invert(g.perm)
@@ -481,7 +481,7 @@ def test_gamma_inverse():
 @settings(max_examples=40)
 @given(seq_mors(max_len=2), seq_mors(max_len=2))
 def test_gamma_natural(p, q):
-    plev = ProdLevel((ALEV, ALEV))
+    plev = Prod((ALEV, ALEV))
     lhs = compose_seq(plev, gamma_component(ALEV, ALEV, p.target, q.target), omega_mor(p, q))
     rhs = compose_seq(plev, omega_prime_mor(p, q), gamma_component(ALEV, ALEV, p.source, q.source))
     assert lhs == rhs
@@ -489,7 +489,7 @@ def test_gamma_natural(p, q):
 
 def test_symmetry_axiom():
     x, y = seq(("a1", "a2")), seq(("b1", "b2", "b3"))
-    plev = ProdLevel((LLEV, LLEV))
+    plev = Prod((LLEV, LLEV))
     g = gamma_component(LLEV, LLEV, x, y)
     h = gamma_component(LLEV, LLEV, y, x)
     swap_pair = lambda e: (e[1], e[0])
@@ -541,7 +541,7 @@ def test_gamma_ij_has_both_orders_as_inverses():
     h = gamma_ij_component(levels, 3, 3, 1, args)
     assert h.perm == invert(g.perm)
     assert h.source == g.target and h.target == g.source
-    plev = ProdLevel(levels)
+    plev = Prod(levels)
     assert compose_seq(plev, h, g) == identity_seq(plev, g.source)
 
 

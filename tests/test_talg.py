@@ -12,7 +12,6 @@ from shufflecat.algebras import (
     MonoidAlg,
     MultiCell,
     all_passed,
-    block_perm,
     bruhat_omega,
     free_multi,
     gamma_compose,
@@ -67,6 +66,7 @@ from shufflecat.fixtures import builtin_base, builtin_monoid
 from shufflecat.freesmc import omega_sigma, seq
 from shufflecat.perms import (
     Perm,
+    block,
     compose as pcomp,
     identity as pid,
     invert,
@@ -385,8 +385,8 @@ def test_phi_T_cell_validates():
 
 
 def test_block_perm():
-    assert block_perm(SWAP, (pid(2), pid(1))) == Perm((2, 3, 1))
-    assert block_perm(pid(2), (SWAP, pid(1))) == Perm((2, 1, 3))
+    assert block(SWAP, (pid(2), pid(1))) == Perm((2, 3, 1))
+    assert block(pid(2), (SWAP, pid(1))) == Perm((2, 1, 3))
 
 
 # ------------------------------------------------------------- two-cells
