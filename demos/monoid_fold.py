@@ -12,7 +12,6 @@ Run with ``python3 demos/monoid_fold.py``.
 
 from shufflecat.algebras import (
     MonoidAlg,
-    all_passed,
     gamma_compose,
     free_multi,
     monoid_algebra_eval,
@@ -34,7 +33,7 @@ for entries in ((), ("1",), ("1", "1"), ("1", "0", "1")):
 # The structure map packages the fold as an algebra 1-cell.
 struct = structure_cell(alg)
 print("structure map is an algebra 1-cell:",
-      all_passed(validate_onecell(struct, bud)))
+      validate_onecell(struct, bud).passed)
 
 # Left-nested and right-nested double multiplications agree after folding.
 t3 = Prod((alg.carrier,) * 3)
@@ -43,6 +42,6 @@ left = Compose((Tuple((Compose((Tuple((Proj(t3, 1), Proj(t3, 2))), mult)),
                        Proj(t3, 3))), mult))
 right = Compose((Tuple((Proj(t3, 1),
                         Compose((Tuple((Proj(t3, 2), Proj(t3, 3))), mult)))), mult))
-reports = multicell_equal(gamma_compose(struct, [free_multi(left)]),
-                          gamma_compose(struct, [free_multi(right)]), bud)
-print("bracketings agree through the fold:", all_passed(reports))
+report = multicell_equal(gamma_compose(struct, [free_multi(left)]),
+                         gamma_compose(struct, [free_multi(right)]), bud)
+print("bracketings agree through the fold:", report.passed)

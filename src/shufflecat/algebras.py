@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from . import perms
 from .calculus import (
@@ -252,28 +252,49 @@ def _coherence_check(m: MultiCell, i: int, j: int, bud: Budget) -> Report:
     return equal_cell(one, two, _fit(bud, Prod(d_ij)))
 
 
-def validate_onecell(m: MultiCell, bud: Budget) -> list[tuple[str, Report]]:
+def bundle(named: Sequence[tuple[str, Report]]) -> Report:
+    """One report for a list of named sub-reports.
+
+    Points are summed and truncation is kept over every sub-report; the
+    bundle fails with the phase, detail and counterexample of the first
+    failing one, whose name goes into ``counterexample["check"]``.
+    """
+    points = sum(r.points for _, r in named)
+    truncated = any(r.truncated for _, r in named)
+    for name, r in named:
+        if not r.passed:
+            ce = dict(r.counterexample or {})
+            ce["check"] = name
+            return Report(kind="bundle", passed=False, points=points,
+                          truncated=truncated, phase=r.phase,
+                          counterexample=ce, detail=r.detail)
+    return Report(kind="bundle", passed=True, points=points, truncated=truncated)
+
+
+def validate_onecell(m: MultiCell, bud: Budget) -> Report:
     """Check every pseudo-morphism axiom of m pointwise.
 
-    Returns one named report per check: the two boundary routes of each
-    slot square, the unit and multiplication pastings of each slot, and
-    the interchange coherence of each slot pair.
+    Every sub-check runs: the two boundary routes of each slot square
+    (``square[i]``), the unit and multiplication pastings of each slot
+    (``eta[i]``, ``mu[i]``) and the interchange coherence of each slot
+    pair (``coherence[i,j]``).  Returns their ``bundle``.
     """
-    out: list[tuple[str, Report]] = []
-    n = m.arity
-    for i in range(1, n + 1):
-        out.append((f"square[{i}]", _square_check(m, i, bud)))
-    for i in range(1, n + 1):
-        out.append((f"eta[{i}]", _eta_check(m, i, bud)))
-    for i in range(1, n + 1):
-        out.append((f"mu[{i}]", _mu_check(m, i, bud)))
-    for i, j in combinations(range(1, n + 1), 2):
-        out.append((f"coherence[{i},{j}]", _coherence_check(m, i, j, bud)))
-    return out
+    slots = range(1, m.arity + 1)
+    return bundle(
+        [(f"square[{i}]", _square_check(m, i, bud)) for i in slots]
+        + [(f"eta[{i}]", _eta_check(m, i, bud)) for i in slots]
+        + [(f"mu[{i}]", _mu_check(m, i, bud)) for i in slots]
+        + [(f"coherence[{i},{j}]", _coherence_check(m, i, j, bud))
+           for i, j in combinations(slots, 2)]
+    )
 
 
-def validate_twocell(t: MultiTwoCell, bud: Budget) -> list[tuple[str, Report]]:
-    """Check that the component mediates the two families of constraints."""
+def validate_twocell(t: MultiTwoCell, bud: Budget) -> Report:
+    """Check that the component mediates the two families of constraints.
+
+    Returns the ``bundle`` of the boundary checks (``boundary-source``,
+    ``boundary-target``) and one pasting check per slot (``slot[i]``).
+    """
     src, tgt = cell_endpoints(t.component)
     carriers = t.source.carriers
     b = t.source.output.structure
@@ -293,11 +314,13 @@ def validate_twocell(t: MultiTwoCell, bud: Budget) -> list[tuple[str, Report]]:
             )
         )
         out.append((f"slot[{i}]", equal_cell(one, two, _fit(bud, Prod(d_i)))))
-    return out
+    return bundle(out)
 
 
-def multicell_equal(m1: MultiCell, m2: MultiCell, bud: Budget) -> list[tuple[str, Report]]:
-    """Pointwise equality of two multicells with the same signature."""
+def multicell_equal(m1: MultiCell, m2: MultiCell, bud: Budget) -> Report:
+    """Pointwise equality of two multicells with the same signature: the
+    ``bundle`` of the underlying functors' check (``underlying``) and one
+    check per slot constraint (``constraint[i]``)."""
     if m1.inputs != m2.inputs or m1.output != m2.output:
         raise TypecheckError("multicells have different signatures")
     out = [
@@ -314,11 +337,7 @@ def multicell_equal(m1: MultiCell, m2: MultiCell, bud: Budget) -> list[tuple[str
                 equal_cell(m1.constraints[i - 1], m2.constraints[i - 1], _fit(bud, dom)),
             )
         )
-    return out
-
-
-def all_passed(reports: Iterable[tuple[str, Report]]) -> bool:
-    return all(r.passed for _, r in reports)
+    return bundle(out)
 
 
 def identity_cell(alg: Algebra) -> MultiCell:

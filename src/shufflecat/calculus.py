@@ -170,71 +170,75 @@ FunExpr = Union[
 
 def fun_endpoints(f: FunExpr, path: str = "") -> tuple:
     """Domain and codomain category expressions; raises TypecheckError with
-    the offending subexpression path on mismatch."""
-    where = path or type(f).__name__
-    if isinstance(f, Identity):
-        return f.cat, f.cat
-    if isinstance(f, Compose):
-        if not f.parts:
-            raise TypecheckError(f"{where}: empty composition")
-        ends = [fun_endpoints(p, f"{where}[{k}]") for k, p in enumerate(f.parts)]
-        for k in range(len(ends) - 1):
-            if ends[k][1] != ends[k + 1][0]:
-                raise TypecheckError(
-                    f"{where}[{k + 1}]: composition endpoints do not meet"
-                )
-        return ends[0][0], ends[-1][1]
-    if isinstance(f, Tuple):
-        if not f.parts:
-            raise TypecheckError(f"{where}: empty tuple has no domain")
-        ends = [fun_endpoints(p, f"{where}[{k}]") for k, p in enumerate(f.parts)]
-        dom = ends[0][0]
-        for k, (d, _) in enumerate(ends):
-            if d != dom:
-                raise TypecheckError(f"{where}[{k}]: tuple factors need one domain")
-        return dom, Prod(tuple(c for _, c in ends))
-    if isinstance(f, Proj):
-        if not isinstance(f.prod, Prod):
-            raise TypecheckError(f"{where}: projection needs a product domain")
-        if not 1 <= f.k <= len(f.prod.factors):
-            raise TypecheckError(f"{where}: projection index out of range")
-        return f.prod, f.prod.factors[f.k - 1]
-    if isinstance(f, Shuffle):
-        if not isinstance(f.prod, Prod):
-            raise TypecheckError(f"{where}: shuffle needs a product domain")
-        if f.perm.degree != len(f.prod.factors):
-            raise TypecheckError(f"{where}: shuffle degree mismatch")
-        return f.prod, Prod(permute(f.prod.factors, f.perm))
-    if isinstance(f, ApplyT):
-        d, c = fun_endpoints(f.inner, f"{where}.inner")
-        return Free(d), Free(c)
-    if isinstance(f, Eta):
-        return f.cat, Free(f.cat)
-    if isinstance(f, Mu):
-        return Free(Free(f.cat)), Free(f.cat)
-    if isinstance(f, Strength):
-        n = len(f.slots)
-        if not 1 <= f.i <= n:
-            raise TypecheckError(f"{where}: strength slot out of range")
-        dom = Prod(
-            tuple(Free(s) if k == f.i - 1 else s for k, s in enumerate(f.slots))
-        )
-        return dom, Free(Prod(f.slots))
-    if isinstance(f, Omega):
-        return Prod(tuple(Free(a) for a in f.inners)), Free(Prod(f.inners))
-    if isinstance(f, FunBase):
-        return CatBase(f.table.domain), CatBase(f.table.codomain)
-    if isinstance(f, Const):
-        return f.dom, f.cod
-    if isinstance(f, MonoidEval):
-        base = CatBase(f.monoid.cat)
-        return Free(base), base
-    if isinstance(f, MonoidMult):
-        if f.n < 0:
-            raise TypecheckError(f"{where}: negative multiplication arity")
-        base = CatBase(f.monoid.cat)
-        return Prod((base,) * f.n), base
-    raise TypecheckError(f"{where}: not a functor expression")
+    the offending subexpression path on mismatch, and on nesting deeper
+    than the interpreter's recursion limit."""
+    try:
+        where = path or type(f).__name__
+        if isinstance(f, Identity):
+            return f.cat, f.cat
+        if isinstance(f, Compose):
+            if not f.parts:
+                raise TypecheckError(f"{where}: empty composition")
+            ends = [fun_endpoints(p, f"{where}[{k}]") for k, p in enumerate(f.parts)]
+            for k in range(len(ends) - 1):
+                if ends[k][1] != ends[k + 1][0]:
+                    raise TypecheckError(
+                        f"{where}[{k + 1}]: composition endpoints do not meet"
+                    )
+            return ends[0][0], ends[-1][1]
+        if isinstance(f, Tuple):
+            if not f.parts:
+                raise TypecheckError(f"{where}: empty tuple has no domain")
+            ends = [fun_endpoints(p, f"{where}[{k}]") for k, p in enumerate(f.parts)]
+            dom = ends[0][0]
+            for k, (d, _) in enumerate(ends):
+                if d != dom:
+                    raise TypecheckError(f"{where}[{k}]: tuple factors need one domain")
+            return dom, Prod(tuple(c for _, c in ends))
+        if isinstance(f, Proj):
+            if not isinstance(f.prod, Prod):
+                raise TypecheckError(f"{where}: projection needs a product domain")
+            if not 1 <= f.k <= len(f.prod.factors):
+                raise TypecheckError(f"{where}: projection index out of range")
+            return f.prod, f.prod.factors[f.k - 1]
+        if isinstance(f, Shuffle):
+            if not isinstance(f.prod, Prod):
+                raise TypecheckError(f"{where}: shuffle needs a product domain")
+            if f.perm.degree != len(f.prod.factors):
+                raise TypecheckError(f"{where}: shuffle degree mismatch")
+            return f.prod, Prod(permute(f.prod.factors, f.perm))
+        if isinstance(f, ApplyT):
+            d, c = fun_endpoints(f.inner, f"{where}.inner")
+            return Free(d), Free(c)
+        if isinstance(f, Eta):
+            return f.cat, Free(f.cat)
+        if isinstance(f, Mu):
+            return Free(Free(f.cat)), Free(f.cat)
+        if isinstance(f, Strength):
+            n = len(f.slots)
+            if not 1 <= f.i <= n:
+                raise TypecheckError(f"{where}: strength slot out of range")
+            dom = Prod(
+                tuple(Free(s) if k == f.i - 1 else s for k, s in enumerate(f.slots))
+            )
+            return dom, Free(Prod(f.slots))
+        if isinstance(f, Omega):
+            return Prod(tuple(Free(a) for a in f.inners)), Free(Prod(f.inners))
+        if isinstance(f, FunBase):
+            return CatBase(f.table.domain), CatBase(f.table.codomain)
+        if isinstance(f, Const):
+            return f.dom, f.cod
+        if isinstance(f, MonoidEval):
+            base = CatBase(f.monoid.cat)
+            return Free(base), base
+        if isinstance(f, MonoidMult):
+            if f.n < 0:
+                raise TypecheckError(f"{where}: negative multiplication arity")
+            base = CatBase(f.monoid.cat)
+            return Prod((base,) * f.n), base
+        raise TypecheckError(f"{where}: not a functor expression")
+    except RecursionError:
+        raise TypecheckError(f"{type(f).__name__}: expression nested too deeply") from None
 
 
 @lru_cache(maxsize=None)
@@ -349,69 +353,73 @@ def cell_endpoints(e: CellExpr, path: str = "") -> tuple:
     Vertical composition only requires the meeting functors to share
     endpoint categories; whether the 1-cells themselves agree is checked
     extensionally by equal_cell, matching how pasting diagrams are read up
-    to strictly commuting squares.
+    to strictly commuting squares.  Nesting deeper than the interpreter's
+    recursion limit raises TypecheckError.
     """
-    where = path or type(e).__name__
-    if isinstance(e, IdCell):
-        fun_endpoints(e.fun, f"{where}.fun")
-        return e.fun, e.fun
-    if isinstance(e, Gamma):
-        _check_gamma(e, where)
-        return (
-            gamma_source(e.slots, e.i, e.j),
-            gamma_source(e.slots, e.j, e.i),
-        )
-    if isinstance(e, GammaInv):
-        _check_gamma(e, where)
-        return (
-            gamma_source(e.slots, e.j, e.i),
-            gamma_source(e.slots, e.i, e.j),
-        )
-    if isinstance(e, VComp):
-        if not e.parts:
-            raise TypecheckError(f"{where}: empty vertical composition")
-        ends = [cell_endpoints(p, f"{where}[{k}]") for k, p in enumerate(e.parts)]
-        cats = [
-            (fun_endpoints(s, f"{where}[{k}].src")) for k, (s, _) in enumerate(ends)
-        ]
-        for k in range(len(ends) - 1):
-            if cats[k] != cats[k + 1]:
-                raise TypecheckError(
-                    f"{where}[{k + 1}]: vertical composition across different"
-                    " hom-categories"
-                )
-        return ends[0][0], ends[-1][1]
-    if isinstance(e, HComp):
-        s1, t1 = cell_endpoints(e.first, f"{where}.first")
-        s2, t2 = cell_endpoints(e.second, f"{where}.second")
-        if fun_cod(s1) != fun_dom(s2):
-            raise TypecheckError(f"{where}: horizontal composition endpoints")
-        return Compose((s1, s2)), Compose((t1, t2))
-    if isinstance(e, WhiskerL):
-        s, t = cell_endpoints(e.cell, f"{where}.cell")
-        if fun_cod(e.fun) != fun_dom(s):
-            raise TypecheckError(f"{where}: left whisker endpoints")
-        return Compose((e.fun, s)), Compose((e.fun, t))
-    if isinstance(e, WhiskerR):
-        s, t = cell_endpoints(e.cell, f"{where}.cell")
-        if fun_cod(s) != fun_dom(e.fun):
-            raise TypecheckError(f"{where}: right whisker endpoints")
-        return Compose((s, e.fun)), Compose((t, e.fun))
-    if isinstance(e, ApplyTCell):
-        s, t = cell_endpoints(e.cell, f"{where}.cell")
-        return ApplyT(s), ApplyT(t)
-    if isinstance(e, TupleCell):
-        if not e.parts:
-            raise TypecheckError(f"{where}: empty tuple cell")
-        ends = [cell_endpoints(p, f"{where}[{k}]") for k, p in enumerate(e.parts)]
-        doms = [fun_dom(s) for s, _ in ends]
-        if len(set(doms)) != 1:
-            raise TypecheckError(f"{where}: tuple cell factors need one domain")
-        return (
-            Tuple(tuple(s for s, _ in ends)),
-            Tuple(tuple(t for _, t in ends)),
-        )
-    raise TypecheckError(f"{where}: not a cell expression")
+    try:
+        where = path or type(e).__name__
+        if isinstance(e, IdCell):
+            fun_endpoints(e.fun, f"{where}.fun")
+            return e.fun, e.fun
+        if isinstance(e, Gamma):
+            _check_gamma(e, where)
+            return (
+                gamma_source(e.slots, e.i, e.j),
+                gamma_source(e.slots, e.j, e.i),
+            )
+        if isinstance(e, GammaInv):
+            _check_gamma(e, where)
+            return (
+                gamma_source(e.slots, e.j, e.i),
+                gamma_source(e.slots, e.i, e.j),
+            )
+        if isinstance(e, VComp):
+            if not e.parts:
+                raise TypecheckError(f"{where}: empty vertical composition")
+            ends = [cell_endpoints(p, f"{where}[{k}]") for k, p in enumerate(e.parts)]
+            cats = [
+                (fun_endpoints(s, f"{where}[{k}].src")) for k, (s, _) in enumerate(ends)
+            ]
+            for k in range(len(ends) - 1):
+                if cats[k] != cats[k + 1]:
+                    raise TypecheckError(
+                        f"{where}[{k + 1}]: vertical composition across different"
+                        " hom-categories"
+                    )
+            return ends[0][0], ends[-1][1]
+        if isinstance(e, HComp):
+            s1, t1 = cell_endpoints(e.first, f"{where}.first")
+            s2, t2 = cell_endpoints(e.second, f"{where}.second")
+            if fun_cod(s1) != fun_dom(s2):
+                raise TypecheckError(f"{where}: horizontal composition endpoints")
+            return Compose((s1, s2)), Compose((t1, t2))
+        if isinstance(e, WhiskerL):
+            s, t = cell_endpoints(e.cell, f"{where}.cell")
+            if fun_cod(e.fun) != fun_dom(s):
+                raise TypecheckError(f"{where}: left whisker endpoints")
+            return Compose((e.fun, s)), Compose((e.fun, t))
+        if isinstance(e, WhiskerR):
+            s, t = cell_endpoints(e.cell, f"{where}.cell")
+            if fun_cod(s) != fun_dom(e.fun):
+                raise TypecheckError(f"{where}: right whisker endpoints")
+            return Compose((s, e.fun)), Compose((t, e.fun))
+        if isinstance(e, ApplyTCell):
+            s, t = cell_endpoints(e.cell, f"{where}.cell")
+            return ApplyT(s), ApplyT(t)
+        if isinstance(e, TupleCell):
+            if not e.parts:
+                raise TypecheckError(f"{where}: empty tuple cell")
+            ends = [cell_endpoints(p, f"{where}[{k}]") for k, p in enumerate(e.parts)]
+            doms = [fun_dom(s) for s, _ in ends]
+            if len(set(doms)) != 1:
+                raise TypecheckError(f"{where}: tuple cell factors need one domain")
+            return (
+                Tuple(tuple(s for s, _ in ends)),
+                Tuple(tuple(t for _, t in ends)),
+            )
+        raise TypecheckError(f"{where}: not a cell expression")
+    except RecursionError:
+        raise TypecheckError(f"{type(e).__name__}: expression nested too deeply") from None
 
 
 def _check_gamma(e, where):

@@ -164,11 +164,11 @@ def cmd_run(args) -> int:
                 or Path(args.report).is_dir()):
             print(f"run: cannot write the report to {args.report}", file=sys.stderr)
             return 2
-    ctx = SuiteContext(
-        base=CatBase(_load_base(args.base)),
-        monoid=_load_monoid_arg(args.monoid),
-        bud=bud,
-    )
+    base = _load_base(args.base)
+    if not base.objects:
+        print("run: the base category has no objects", file=sys.stderr)
+        return 2
+    ctx = SuiteContext(base=CatBase(base), monoid=_load_monoid_arg(args.monoid), bud=bud)
     results = run_suites(ids, ctx, timings=args.timings)
     print(render_table(results))
     if args.report:
@@ -199,9 +199,6 @@ def cmd_eval(args) -> int:
         return 2
     except (CalcError, FinCatError) as exc:
         print(f"eval: ill-typed expression: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("eval: expression or literal nested too deeply", file=sys.stderr)
         return 2
     try:
         mor = eval_cell(cell, x)

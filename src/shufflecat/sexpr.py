@@ -482,16 +482,24 @@ def _split_commas(group: _Group):
 # -------------------------------------------------------------- entry points
 
 
+def _parse(build, text: str, *args):
+    """build(node, *args) on the tree read from text; nesting deeper than
+    the interpreter's recursion limit is malformed input like any other."""
+    try:
+        return build(_read(text), *args)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
+
+
 def parse_cat(text: str, env: Env) -> CatExpr:
-    return _cat_of(_read(text), env)
+    return _parse(_cat_of, text, env)
 
 
 def parse_fun(text: str, env: Env) -> FunExpr:
-    return _fun_of(_read(text), env)
+    return _parse(_fun_of, text, env)
 
 
-def parse_cell(text: str, env: Env) -> CellExpr:
-    node = _read(text)
+def _top_cell_of(node, env: Env) -> CellExpr:
     if isinstance(node, _Group) and node.items and isinstance(node.items[0], _Atom):
         head = node.items[0].text
         if head in _FUN_HEADS:
@@ -502,8 +510,12 @@ def parse_cell(text: str, env: Env) -> CellExpr:
     return _cell_of(node, env)
 
 
+def parse_cell(text: str, env: Env) -> CellExpr:
+    return _parse(_top_cell_of, text, env)
+
+
 def parse_obj(text: str, c: CatExpr, env: Env):
-    return _obj_of(_read(text), c, env)
+    return _parse(_obj_of, text, c, env)
 
 
 # -------------------------------------------------------------- printing

@@ -2,10 +2,13 @@
 
 A suite is a datum: a stable identifier, the law it checks stated in
 plain language, and a builder that turns fixtures plus a budget into a
-list of named check thunks.  Thunks are deferred so ``catalog`` can
-count checks without evaluating anything.  Reports are deterministic
-for a fixed context; wall-clock times are attached only on request so
-repeated runs serialize to identical bytes.
+list of named check thunks.  Each thunk returns one ``Report``; a check
+made of several sub-checks returns their ``algebras.bundle``.  Thunks are
+deferred so ``catalog`` can count checks without evaluating anything.
+The mirrored laws (left and right slot, left and right bracketing) share
+one builder, registered once per suite id with the side as an argument.
+Reports are deterministic for a fixed context; wall-clock times are
+attached only on request so repeated runs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ from . import perms
 from .algebras import (
     FreeAlg,
     MonoidAlg,
+    _at_slot,
     _block_bounds,
     _cover_cell,
     _frees,
+    _with_free,
     _with_perm,
     bruhat_omega,
+    bundle,
     free_multi,
     gamma_compose,
     identity_cell,
@@ -117,9 +123,10 @@ def default_context(base: str = "arrow", monoid: str = "z2",
                         bud or DEFAULT_BUDGET)
 
 
-def _suite(ident: str, law: str):
+def _suite(ident: str, law: str, *args):
+    """Register fn as the builder of suite ident, called as fn(ctx, *args)."""
     def register(fn):
-        SUITES[ident] = Suite(ident, law, fn)
+        SUITES[ident] = Suite(ident, law, lambda ctx: fn(ctx, *args))
         return fn
     return register
 
@@ -144,46 +151,69 @@ def _collapse(base: CatBase):
     return FunBase(table)
 
 
-def _fact(passed: bool, detail: str) -> Report:
+def _fact(passed: bool, detail: str, points: int = 1) -> Report:
     ce = None if passed else {"note": detail}
-    return Report(kind="structural", passed=passed, points=1,
+    return Report(kind="structural", passed=passed, points=points,
                   truncated=False, phase="structural",
                   counterexample=ce, detail=detail)
 
 
-def _merge(named: Sequence[tuple[str, Report]], kind: str = "bundle") -> Report:
-    points = sum(r.points for _, r in named)
-    truncated = any(r.truncated for _, r in named)
-    for name, r in named:
-        if not r.passed:
-            ce = dict(r.counterexample or {})
-            ce["check"] = name
-            return Report(kind=kind, passed=False, points=points,
-                          truncated=truncated, phase=r.phase,
-                          counterexample=ce, detail=r.detail)
-    return Report(kind=kind, passed=True, points=points, truncated=truncated)
+# Slots lo and lo+1 of a triple of one category A grouped into a pair:
+# lo is 1 for the left bracketing ((A, A), A) and 2 for the right one.
 
 
-def _flat_left(a: CatExpr, b: CatExpr, c: CatExpr):
-    """Reassociate Prod((Prod((a, b)), c)) onto Prod((a, b, c))."""
-    pab = Prod((a, b))
-    dom = Prod((pab, c))
-    return Tuple((Compose((Proj(dom, 1), Proj(pab, 1))),
-                  Compose((Proj(dom, 1), Proj(pab, 2))),
-                  Proj(dom, 2)))
+def _around(lo: int, pair, rest) -> tuple:
+    """The grouped pair and the remaining slot of a triple, in slot order."""
+    return (pair, rest) if lo == 1 else (rest, pair)
 
 
-def _flat_right(a: CatExpr, b: CatExpr, c: CatExpr):
-    """Reassociate Prod((a, Prod((b, c)))) onto Prod((a, b, c))."""
-    pbc = Prod((b, c))
-    dom = Prod((a, pbc))
-    return Tuple((Proj(dom, 1),
-                  Compose((Proj(dom, 2), Proj(pbc, 1))),
-                  Compose((Proj(dom, 2), Proj(pbc, 2)))))
+def _bracketing(A: CatExpr, lo: int) -> tuple:
+    return _around(lo, Prod((A, A)), A)
+
+
+def _flatten(A: CatExpr, lo: int):
+    """Reassociate the bracketed triple onto Prod((A, A, A))."""
+    pair = Prod((A, A))
+    dom = Prod(_bracketing(A, lo))
+    inner = tuple(Compose((Proj(dom, lo), Proj(pair, k))) for k in (1, 2))
+    rest = Proj(dom, 2 if lo == 1 else 1)
+    return Tuple(inner + (rest,) if lo == 1 else (rest,) + inner)
+
+
+def _against_pair(A: CatExpr, D: Prod, lo: int, g) -> CellExpr:
+    """Send slots lo and lo+1 of the triple D through g into one free
+    slot, interchange it against the remaining slot, then flatten."""
+    grouped = _around(lo, Compose((_span(D, lo, lo + 1), g)),
+                      Proj(D, 3 if lo == 1 else 1))
+    return WhiskerR(WhiskerL(Tuple(grouped), Gamma(_bracketing(A, lo))),
+                    ApplyT(_flatten(A, lo)))
+
+
+def _pair_swap(A: CatExpr, D: Prod, lo: int) -> CellExpr:
+    """The interchange of slots lo and lo+1 of the triple D, tupled with
+    the identity on the remaining slot."""
+    return TupleCell(_around(lo, WhiskerL(_span(D, lo, lo + 1), Gamma((A, A))),
+                             IdCell(Proj(D, 3 if lo == 1 else 1))))
+
+
+def _swap_chain(inners: tuple, word: Sequence[int]) -> CellExpr:
+    """The cover cells along a word of adjacent swaps, pasted vertically."""
+    n = len(inners)
+    return VComp(tuple(_cover_cell(inners, word_to_perm(n, word[:k]), i)
+                       for k, i in enumerate(word)))
 
 
 def _span(dom: Prod, lo: int, hi: int):
     return Tuple(tuple(Proj(dom, k) for k in range(lo, hi + 1)))
+
+
+def _composite(base: CatExpr, sizes: Sequence[int], gs, f):
+    """The flat functor Prod(base^sum(sizes)) -> cod f that feeds each
+    block of slots through its functor in gs, then applies f."""
+    flat = Prod((base,) * sum(sizes))
+    parts = tuple(Compose((_span(flat, lo, hi), g))
+                  for (lo, hi), g in zip(_block_bounds(sizes), gs))
+    return Compose((Tuple(parts), f))
 
 
 def _blocked_identity(base: CatExpr, sizes: Sequence[int]):
@@ -192,18 +222,9 @@ def _blocked_identity(base: CatExpr, sizes: Sequence[int]):
     where composite is the flat functor Prod(base^sum) -> cod f."""
     slots = tuple(base if k == 1 else Prod((base,) * k) for k in sizes)
     f = Identity(Prod(slots))
-    gs = []
-    for k in sizes:
-        if k == 1:
-            gs.append(Proj(Prod((base,)), 1))
-        else:
-            gs.append(Identity(Prod((base,) * k)))
-    flat = Prod((base,) * sum(sizes))
-    bounds = _block_bounds(sizes)
-    parts = tuple(Compose((_span(flat, lo, hi), g))
-                  for (lo, hi), g in zip(bounds, gs))
-    composite = Compose((Tuple(parts), f))
-    return f, gs, composite
+    gs = [Proj(Prod((base,)), 1) if k == 1 else Identity(Prod((base,) * k))
+          for k in sizes]
+    return f, gs, _composite(base, sizes, gs, f)
 
 
 # ------------------------------------------------------------- suites
@@ -284,162 +305,95 @@ def _monad_laws(ctx: SuiteContext) -> list[Check]:
         " realize the row-major and column-major grid walks.")
 def _strength_laws(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
-    B = A
     fb = _collapse(A)
     p = _points(bud, 1500)
-    P = Prod((A, B))
+    P = Prod((A, A))
     checks: list[Check] = []
-    e1 = prod_map((A, B), (Eta(A), Identity(B)))
-    checks.append(("unit-slot-1", lambda: equal_fun(
-        Compose((e1, Strength((A, B), 1))), Eta(P), p)))
-    e2 = prod_map((A, B), (Identity(A), Eta(B)))
-    checks.append(("unit-slot-2", lambda: equal_fun(
-        Compose((e2, Strength((A, B), 2))), Eta(P), p)))
     for i in (1, 2):
-        doubled = (Free(Free(A)), B) if i == 1 else (A, Free(Free(B)))
-        once = (Free(A), B) if i == 1 else (A, Free(B))
-        erase = (Mu(A), Identity(B)) if i == 1 else (Identity(A), Mu(B))
-        lhs = Compose((prod_map(doubled, erase), Strength((A, B), i)))
-        rhs = Compose((Strength(once, i), ApplyT(Strength((A, B), i)), Mu(P)))
+        unit = _at_slot((A, A), i, Eta(A))
+        checks.append((f"unit-slot-{i}", lambda unit=unit, i=i: equal_fun(
+            Compose((unit, Strength((A, A), i))), Eta(P), p)))
+    for i in (1, 2):
+        once = _with_free((A, A), i)
+        lhs = Compose((_at_slot(_with_free(once, i), i, Mu(A)), Strength((A, A), i)))
+        rhs = Compose((Strength(once, i), ApplyT(Strength((A, A), i)), Mu(P)))
         checks.append((f"mult-slot-{i}",
                        lambda lhs=lhs, rhs=rhs: equal_fun(
                            lhs, rhs, _points(bud, 1200))))
-    nat_l = Compose((prod_map((Free(A), B), (ApplyT(fb), fb)),
-                     Strength((A, B), 1)))
-    nat_r = Compose((Strength((A, B), 1), ApplyT(prod_map((A, B), (fb, fb)))))
+    nat_l = Compose((prod_map((Free(A), A), (ApplyT(fb), fb)),
+                     Strength((A, A), 1)))
+    nat_r = Compose((Strength((A, A), 1), ApplyT(prod_map((A, A), (fb, fb)))))
     checks.append(("naturality", lambda: equal_fun(nat_l, nat_r, p)))
     checks.append(("row-route", lambda: equal_fun(
-        gamma_source((A, B), 1, 2), Omega((A, B)), p)))
+        gamma_source((A, A), 1, 2), Omega((A, A)), p)))
     checks.append(("column-route", lambda: equal_fun(
-        gamma_source((A, B), 2, 1), omega_sigma_fun((A, B), Perm((2, 1))), p)))
+        gamma_source((A, A), 2, 1), omega_sigma_fun((A, A), Perm((2, 1))), p)))
     return checks
 
 
 @_suite("pseudocomm.axiom1",
         "Grouping a bare middle slot into the left or the right free"
         " neighbour before interchanging gives the same 2-cell after"
-        " flattening.")
-def _axiom1(ctx: SuiteContext) -> list[Check]:
-    A = B = C = ctx.base
-    bud = _points(ctx.bud, 1200)
-    D = Prod((A, Free(B), Free(C)))
-    pab, pbc = Prod((A, B)), Prod((B, C))
-    pair12 = Tuple((Proj(D, 1), Proj(D, 2)))
-    pair23 = Tuple((Proj(D, 2), Proj(D, 3)))
-    lhs = WhiskerR(
-        WhiskerL(Tuple((Compose((pair12, Strength((A, B), 2))), Proj(D, 3))),
-                 Gamma((pab, C))),
-        ApplyT(_flat_left(A, B, C)))
-    rhs = WhiskerR(
-        WhiskerR(TupleCell((IdCell(Proj(D, 1)),
-                            WhiskerL(pair23, Gamma((B, C))))),
-                 Strength((A, pbc), 2)),
-        ApplyT(_flat_right(A, B, C)))
-    return [("pasting", lambda: equal_cell(lhs, rhs, bud))]
-
-
+        " flattening.", 1)
 @_suite("pseudocomm.axiom2",
         "Absorbing a bare middle slot into the right or the left free"
-        " factor before interchanging agrees after flattening.")
-def _axiom2(ctx: SuiteContext) -> list[Check]:
-    A = B = C = ctx.base
-    bud = _points(ctx.bud, 1200)
-    D = Prod((Free(A), B, Free(C)))
-    pab, pbc = Prod((A, B)), Prod((B, C))
-    pair12 = Tuple((Proj(D, 1), Proj(D, 2)))
-    pair23 = Tuple((Proj(D, 2), Proj(D, 3)))
-    lhs = WhiskerR(
-        WhiskerL(Tuple((Proj(D, 1), Compose((pair23, Strength((B, C), 2))))),
-                 Gamma((A, pbc))),
-        ApplyT(_flat_right(A, B, C)))
-    rhs = WhiskerR(
-        WhiskerL(Tuple((Compose((pair12, Strength((A, B), 1))), Proj(D, 3))),
-                 Gamma((pab, C))),
-        ApplyT(_flat_left(A, B, C)))
-    return [("pasting", lambda: equal_cell(lhs, rhs, bud))]
-
-
+        " factor before interchanging agrees after flattening.", 2)
 @_suite("pseudocomm.axiom3",
         "Interchanging past a bare right slot factors through pairing it"
-        " into the second free factor, after flattening.")
-def _axiom3(ctx: SuiteContext) -> list[Check]:
-    A = B = C = ctx.base
+        " into the second free factor, after flattening.", 3)
+def _grouping_axiom(ctx: SuiteContext, bare: int) -> list[Check]:
+    A = ctx.base
     bud = _points(ctx.bud, 1200)
-    D = Prod((Free(A), Free(B), C))
-    pab, pbc = Prod((A, B)), Prod((B, C))
-    pair12 = Tuple((Proj(D, 1), Proj(D, 2)))
-    pair23 = Tuple((Proj(D, 2), Proj(D, 3)))
-    lhs = WhiskerR(
-        WhiskerL(Tuple((Proj(D, 1), Compose((pair23, Strength((B, C), 1))))),
-                 Gamma((A, pbc))),
-        ApplyT(_flat_right(A, B, C)))
-    rhs = WhiskerR(
-        WhiskerR(TupleCell((WhiskerL(pair12, Gamma((A, B))),
-                            IdCell(Proj(D, 3)))),
-                 Strength((pab, C), 1)),
-        ApplyT(_flat_left(A, B, C)))
+    D = Prod(tuple(A if k == bare else Free(A) for k in (1, 2, 3)))
+    if bare == 2:
+        lhs = _against_pair(A, D, 2, Strength((A, A), 2))
+        rhs = _against_pair(A, D, 1, Strength((A, A), 1))
+    else:
+        # the two free slots start at slot `free`: the bare end slot joins
+        # its free neighbour on one side, the free pair interchanges first
+        # on the other
+        free = 2 if bare == 1 else 1
+        lhs = _against_pair(A, D, 3 - free, Strength((A, A), free))
+        rhs = WhiskerR(WhiskerR(_pair_swap(A, D, free),
+                                Strength(_bracketing(A, free), free)),
+                       ApplyT(_flatten(A, free)))
     return [("pasting", lambda: equal_cell(lhs, rhs, bud))]
 
 
 @_suite("pseudocomm.axiom4",
         "Precomposing the interchange cell with a singleton insertion in"
-        " the first slot is an identity 2-cell.")
-def _axiom4(ctx: SuiteContext) -> list[Check]:
-    A = B = ctx.base
-    bud = _points(ctx.bud, 1500)
-    emap = prod_map((A, Free(B)), (Eta(A), Identity(Free(B))))
-    lhs = WhiskerL(emap, Gamma((A, B)))
-    rhs = IdCell(Compose((emap, gamma_source((A, B), 1, 2))))
-    return [("identity", lambda: equal_cell(lhs, rhs, bud))]
-
-
+        " the first slot is an identity 2-cell.", 1)
 @_suite("pseudocomm.axiom5",
         "Precomposing the interchange cell with a singleton insertion in"
-        " the second slot is an identity 2-cell.")
-def _axiom5(ctx: SuiteContext) -> list[Check]:
-    A = B = ctx.base
+        " the second slot is an identity 2-cell.", 2)
+def _unit_axiom(ctx: SuiteContext, slot: int) -> list[Check]:
+    A = ctx.base
     bud = _points(ctx.bud, 1500)
-    emap = prod_map((Free(A), B), (Identity(Free(A)), Eta(B)))
-    lhs = WhiskerL(emap, Gamma((A, B)))
-    rhs = IdCell(Compose((emap, gamma_source((A, B), 1, 2))))
+    emap = _at_slot(_with_free((A, A), 3 - slot), slot, Eta(A))
+    lhs = WhiskerL(emap, Gamma((A, A)))
+    rhs = IdCell(Compose((emap, gamma_source((A, A), 1, 2))))
     return [("identity", lambda: equal_cell(lhs, rhs, bud))]
 
 
 @_suite("pseudocomm.axiom6",
         "Interchanging after erasing parentheses in the first slot pastes"
         " from the interchange under one free layer followed by the"
-        " interchange against the doubled slot.")
-def _axiom6(ctx: SuiteContext) -> list[Check]:
-    A = B = ctx.base
-    bud = _points(ctx.bud, 700)
-    FA, FB = Free(A), Free(B)
-    pab = Prod((A, B))
-    lhs = WhiskerL(prod_map((Free(FA), FB), (Mu(A), Identity(FB))),
-                   Gamma((A, B)))
-    cell_a = WhiskerL(Strength((FA, FB), 1),
-                      WhiskerR(ApplyTCell(Gamma((A, B))), Mu(pab)))
-    cell_b = WhiskerR(Gamma((FA, B)),
-                      Compose((ApplyT(Strength((A, B), 1)), Mu(pab))))
-    rhs = VComp((cell_a, cell_b))
-    return [("pasting", lambda: equal_cell(lhs, rhs, bud))]
-
-
+        " interchange against the doubled slot.", 1)
 @_suite("pseudocomm.axiom7",
         "Interchanging after erasing parentheses in the second slot pastes"
         " from the interchange against the doubled slot followed by the"
-        " interchange under one free layer.")
-def _axiom7(ctx: SuiteContext) -> list[Check]:
-    A = B = ctx.base
+        " interchange under one free layer.", 2)
+def _mult_axiom(ctx: SuiteContext, slot: int) -> list[Check]:
+    A = ctx.base
     bud = _points(ctx.bud, 700)
-    FA, FB = Free(A), Free(B)
-    pab = Prod((A, B))
-    lhs = WhiskerL(prod_map((FA, Free(FB)), (Identity(FA), Mu(B))),
-                   Gamma((A, B)))
-    first = WhiskerR(Gamma((A, FB)),
-                     Compose((ApplyT(Strength((A, B), 2)), Mu(pab))))
-    second = WhiskerL(Strength((FA, FB), 2),
-                      WhiskerR(ApplyTCell(Gamma((A, B))), Mu(pab)))
-    rhs = VComp((first, second))
+    frees = _frees((A, A))
+    pab = Prod((A, A))
+    lhs = WhiskerL(_at_slot(_with_free(frees, slot), slot, Mu(A)), Gamma((A, A)))
+    under = WhiskerL(Strength(frees, slot),
+                     WhiskerR(ApplyTCell(Gamma((A, A))), Mu(pab)))
+    against = WhiskerR(Gamma(_with_free((A, A), slot)),
+                       Compose((ApplyT(Strength((A, A), slot)), Mu(pab))))
+    rhs = VComp((under, against) if slot == 1 else (against, under))
     return [("pasting", lambda: equal_cell(lhs, rhs, bud))]
 
 
@@ -493,20 +447,13 @@ def _symmetry(ctx: SuiteContext) -> list[Check]:
 def _partition_independence(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
     checks: list[Check] = []
-    slots3 = (A, A, A)
-    p3 = _points(bud, 700)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        for part in partitions_for(3, i, j):
-            name = "n3(%d,%d)@%d%d%d" % (i, j, *part)
-            checks.append((name, lambda i=i, j=j, part=part: equal_cell(
-                Gamma(slots3, i, j, part), Gamma(slots3, i, j), p3)))
-    slots4 = (A, A, A, A)
-    p4 = _points(bud, 400)
-    for i, j in itertools.combinations((1, 2, 3, 4), 2):
-        for part in partitions_for(4, i, j):
-            name = "n4(%d,%d)@%d%d%d" % (i, j, *part)
-            checks.append((name, lambda i=i, j=j, part=part: equal_cell(
-                Gamma(slots4, i, j, part), Gamma(slots4, i, j), p4)))
+    for n, cap in ((3, 700), (4, 400)):
+        slots, p = (A,) * n, _points(bud, cap)
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            for part in partitions_for(n, i, j):
+                name = "n%d(%d,%d)@%d%d%d" % (n, i, j, *part)
+                checks.append((name, lambda slots=slots, i=i, j=j, part=part, p=p:
+                               equal_cell(Gamma(slots, i, j, part), Gamma(slots, i, j), p)))
     return checks
 
 
@@ -523,8 +470,7 @@ def _omega_two(ctx: SuiteContext) -> list[Check]:
     w = omega_cell((A, B))
     cell_a = WhiskerL(Strength((FA, FB), 2),
                       WhiskerR(ApplyTCell(Gamma((A, B))), Mu(pab)))
-    pre = Compose((prod_map((FA, Free(FB)), (Identity(FA), Mu(B))),
-                   Shuffle(Prod((FA, FB)), sw)))
+    pre = Compose((_at_slot((FA, Free(FB)), 2, Mu(B)), Shuffle(Prod((FA, FB)), sw)))
     cell_b = WhiskerL(pre, WhiskerR(Gamma((B, A)),
                                     ApplyT(Shuffle(Prod((B, A)), sw))))
     return [
@@ -545,10 +491,9 @@ def _omega_two(ctx: SuiteContext) -> list[Check]:
 def _omega_onecell(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
     return [
-        ("binary", lambda: _merge(
-            validate_onecell(omega_cell((A, A)), _points(bud, 250)))),
-        ("ternary", lambda: _merge(
-            validate_onecell(omega_cell((A, A, A)), _points(_seq(bud, 2), 100)))),
+        ("binary", lambda: validate_onecell(omega_cell((A, A)), _points(bud, 250))),
+        ("ternary", lambda: validate_onecell(
+            omega_cell((A, A, A)), _points(_seq(bud, 2), 100))),
     ]
 
 
@@ -563,14 +508,14 @@ def _omega_associativity(ctx: SuiteContext) -> list[Check]:
     left = postcompose_free(
         gamma_compose(omega_cell((paa, A)),
                       [omega_cell((A, A)), identity_cell(FreeAlg(A))]),
-        _flat_left(A, A, A))
+        _flatten(A, 1))
     right = postcompose_free(
         gamma_compose(omega_cell((A, paa)),
                       [identity_cell(FreeAlg(A)), omega_cell((A, A))]),
-        _flat_right(A, A, A))
+        _flatten(A, 2))
     return [
-        ("left-grouping", lambda: _merge(multicell_equal(left, direct, p))),
-        ("right-grouping", lambda: _merge(multicell_equal(right, direct, p))),
+        ("left-grouping", lambda: multicell_equal(left, direct, p)),
+        ("right-grouping", lambda: multicell_equal(right, direct, p)),
     ]
 
 
@@ -622,10 +567,10 @@ def _omega_recursion(ctx: SuiteContext) -> list[Check]:
         ("unary-wrapper", lambda: _fact(
             free_multi(Identity(Prod((A,)))) == omega_cell((A,)),
             "the unary walk is the free image of the identity")),
-        ("three-slots", lambda: _merge(multicell_equal(
-            grouped(2), omega_cell((A, A, A)), _points(bud, 150)))),
-        ("four-slots", lambda: _merge(multicell_equal(
-            grouped(3), omega_cell((A, A, A, A)), _points(_seq(bud, 2), 80)))),
+        ("three-slots", lambda: multicell_equal(
+            grouped(2), omega_cell((A, A, A)), _points(bud, 150))),
+        ("four-slots", lambda: multicell_equal(
+            grouped(3), omega_cell((A, A, A, A)), _points(_seq(bud, 2), 80))),
     ]
 
 
@@ -660,17 +605,12 @@ def _multifunctor(ctx: SuiteContext) -> list[Check]:
     picked = forced + rng.sample(rest, 50)
     p = _points(_seq(bud, 2), 30)
 
-    def one(tag, f, sizes, gs):
-        flat = Prod((b,) * sum(sizes))
-        bounds = _block_bounds(sizes)
-        parts = tuple(Compose((_span(flat, lo, hi), g))
-                      for (lo, hi), g in zip(bounds, gs))
-        composite = Compose((Tuple(parts), f))
-        direct = free_multi(composite)
+    def one(f, sizes, gs):
+        direct = free_multi(_composite(b, sizes, gs, f))
         pieced = gamma_compose(free_multi(f), [free_multi(g) for g in gs])
-        return _merge(multicell_equal(direct, pieced, p))
+        return multicell_equal(direct, pieced, p)
 
-    return [(tag, lambda tag=tag, f=f, sizes=sizes, gs=gs: one(tag, f, sizes, gs))
+    return [(tag, lambda f=f, sizes=sizes, gs=gs: one(f, sizes, gs))
             for tag, f, sizes, gs in picked]
 
 
@@ -684,8 +624,8 @@ def _pseudosym_unit(ctx: SuiteContext) -> list[Check]:
     return [
         ("identity-word", lambda: equal_cell(
             c.component, IdCell(free_multi(f).underlying), _points(bud, 600))),
-        ("endpoints-coincide", lambda: _merge(
-            multicell_equal(c.source, c.target, _points(bud, 300)))),
+        ("endpoints-coincide", lambda: multicell_equal(
+            c.source, c.target, _points(bud, 300))),
     ]
 
 
@@ -719,36 +659,30 @@ def _pseudosym_product(ctx: SuiteContext) -> list[Check]:
 def _pseudosym_words(ctx: SuiteContext) -> list[Check]:
     b, bud = ctx.base, ctx.bud
     checks: list[Check] = []
-    f3 = Identity(Prod((b, b, b)))
-    rev3 = Perm((3, 2, 1))
-    words3 = sorted(reduced_words(rev3))
-    p3 = _points(bud, 400)
-    for w in words3[1:]:
-        name = "n3:" + "".join(map(str, w)) + "~" + "".join(map(str, words3[0]))
-        checks.append((name, lambda w=w: equal_cell(
-            pseudo_sym(f3, rev3, w).component,
-            pseudo_sym(f3, rev3, words3[0]).component, p3)))
-    f4 = Identity(Prod((b, b, b, b)))
-    rev4 = Perm((4, 3, 2, 1))
-    words4 = sorted(reduced_words(rev4))
-    p4 = _points(_seq(bud, 2), 60)
-    for w in words4[1:]:
-        name = "n4:" + "".join(map(str, w)) + "~" + "".join(map(str, words4[0]))
-        checks.append((name, lambda w=w: equal_cell(
-            pseudo_sym(f4, rev4, w).component,
-            pseudo_sym(f4, rev4, words4[0]).component, p4)))
+    for n, p in ((3, _points(bud, 400)), (4, _points(_seq(bud, 2), 60))):
+        f, rev = Identity(Prod((b,) * n)), perms.reversal(n)
+        first, *rest = sorted(reduced_words(rev))
+        for w in rest:
+            name = "n%d:%s~%s" % (n, "".join(map(str, w)), "".join(map(str, first)))
+            checks.append((name, lambda f=f, rev=rev, w=w, first=first, p=p: equal_cell(
+                pseudo_sym(f, rev, w).component, pseudo_sym(f, rev, first).component, p)))
     return checks
+
+
+def _block_reordering(b: CatExpr, sizes: Sequence[int], outer: Perm, inner):
+    """The blocked identity over sizes (f, gs), the reordering cell of its
+    composite along block(outer, inner), and that cell's free domain."""
+    f, gs, composite = _blocked_identity(b, sizes)
+    bperm = block(outer, inner)
+    lhs = pseudo_sym(composite, bperm).component
+    return f, gs, lhs, Prod(perms.permute(_frees((b,) * sum(sizes)), bperm))
 
 
 def _top_equivariance_check(b: CatExpr, sizes: Sequence[int], sig: Perm,
                             bud: Budget) -> Report:
-    f, gs, composite = _blocked_identity(b, sizes)
     n = len(sizes)
-    tperm = block(sig, [perms.identity(sizes[sig(l) - 1])
-                        for l in range(1, n + 1)])
-    lhs = pseudo_sym(composite, tperm).component
-    frees_flat = _frees((b,) * sum(sizes))
-    DP = Prod(perms.permute(frees_flat, tperm))
+    f, gs, lhs, DP = _block_reordering(
+        b, sizes, sig, [perms.identity(sizes[sig(l) - 1]) for l in range(1, n + 1)])
     parts = []
     pos = 1
     for l in range(1, n + 1):
@@ -779,14 +713,10 @@ def _pseudosym_top(ctx: SuiteContext) -> list[Check]:
 
 def _bottom_equivariance_check(b: CatExpr, sizes: Sequence[int], l: int,
                                tau: Perm, bud: Budget) -> Report:
-    f, gs, composite = _blocked_identity(b, sizes)
     n = len(sizes)
-    bperm = block(perms.identity(n),
-                  [tau if t == l else perms.identity(sizes[t - 1])
-                   for t in range(1, n + 1)])
-    lhs = pseudo_sym(composite, bperm).component
-    frees_flat = _frees((b,) * sum(sizes))
-    DP = Prod(perms.permute(frees_flat, bperm))
+    f, gs, lhs, DP = _block_reordering(
+        b, sizes, perms.identity(n),
+        [tau if t == l else perms.identity(sizes[t - 1]) for t in range(1, n + 1)])
     bounds = _block_bounds(sizes)
     parts = []
     for t in range(1, n + 1):
@@ -798,9 +728,8 @@ def _bottom_equivariance_check(b: CatExpr, sizes: Sequence[int], l: int,
             k = sizes[t - 1]
             parts.append(IdCell(Compose((sel, Omega((b,) * k),
                                          ApplyT(gs[t - 1])))))
-    slots = tuple(b if k == 1 else Prod((b,) * k) for k in sizes)
     rhs = WhiskerR(TupleCell(tuple(parts)),
-                   Compose((Omega(slots), ApplyT(f))))
+                   Compose((Omega(f.cat.factors), ApplyT(f))))
     return equal_cell(lhs, rhs, bud)
 
 
@@ -826,11 +755,9 @@ def _pseudosym_bottom(ctx: SuiteContext) -> list[Check]:
 def _yangbaxter_disjoint(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
     inners = (A, A, A, A)
-    pid4 = perms.identity(4)
-    s1, s3 = transposition(4, 1), transposition(4, 3)
     p = _points(_seq(bud, 2), 250)
-    c_12_34 = VComp((_cover_cell(inners, pid4, 1), _cover_cell(inners, s1, 3)))
-    c_34_12 = VComp((_cover_cell(inners, pid4, 3), _cover_cell(inners, s3, 1)))
+    c_12_34 = _swap_chain(inners, (1, 3))
+    c_34_12 = _swap_chain(inners, (3, 1))
     D4 = Prod(_frees(inners))
     paa = Prod((A, A))
     g12 = WhiskerL(Tuple((Proj(D4, 1), Proj(D4, 2))), Gamma((A, A)))
@@ -848,59 +775,23 @@ def _yangbaxter_disjoint(ctx: SuiteContext) -> list[Check]:
     ]
 
 
-def _yb_fixture(A: CatExpr):
-    inners = (A, A, A)
-    D3 = Prod(_frees(inners))
-    pair12 = Tuple((Proj(D3, 1), Proj(D3, 2)))
-    pair23 = Tuple((Proj(D3, 2), Proj(D3, 3)))
-    paa = Prod((A, A))
-    pid3 = perms.identity(3)
-    s1, s2 = transposition(3, 1), transposition(3, 2)
-    chain121 = VComp((_cover_cell(inners, pid3, 1),
-                      _cover_cell(inners, s1, 2),
-                      _cover_cell(inners, word_to_perm(3, (1, 2)), 1)))
-    chain212 = VComp((_cover_cell(inners, pid3, 2),
-                      _cover_cell(inners, s2, 1),
-                      _cover_cell(inners, word_to_perm(3, (2, 1)), 2)))
-    return inners, D3, pair12, pair23, paa, chain121, chain212
-
-
 @_suite("yangbaxter.1",
         "The three-step swap chain starting in the middle pastes to the"
         " grouped interchange: first swapping inside the grouped pair, then"
-        " interchanging the first slot against the pair.")
-def _yangbaxter1(ctx: SuiteContext) -> list[Check]:
-    A, bud = ctx.base, ctx.bud
-    inners, D3, pair12, pair23, paa, chain121, chain212 = _yb_fixture(A)
-    p = _points(bud, 500)
-    cell_u = WhiskerR(
-        TupleCell((IdCell(Proj(D3, 1)), WhiskerL(pair23, Gamma((A, A))))),
-        Compose((Omega((A, paa)), ApplyT(_flat_right(A, A, A)))))
-    cell_v = WhiskerR(
-        WhiskerL(Tuple((Proj(D3, 1),
-                        Compose((pair23, gamma_source((A, A), 2, 1))))),
-                 Gamma((A, paa))),
-        ApplyT(_flat_right(A, A, A)))
-    return [("grouped", lambda: equal_cell(chain212, VComp((cell_u, cell_v)), p))]
-
-
+        " interchanging the first slot against the pair.", 2)
 @_suite("yangbaxter.2",
         "The three-step swap chain starting on the left pastes to the"
         " grouped interchange on the other bracketing: swapping inside the"
-        " grouped pair, then interchanging it against the last slot.")
-def _yangbaxter2(ctx: SuiteContext) -> list[Check]:
+        " grouped pair, then interchanging it against the last slot.", 1)
+def _yangbaxter_grouped(ctx: SuiteContext, lo: int) -> list[Check]:
     A, bud = ctx.base, ctx.bud
-    inners, D3, pair12, pair23, paa, chain121, chain212 = _yb_fixture(A)
+    D = Prod(_frees((A, A, A)))
+    chain = _swap_chain((A, A, A), (lo, 3 - lo, lo))
+    swap = WhiskerR(_pair_swap(A, D, lo),
+                    Compose((Omega(_bracketing(A, lo)), ApplyT(_flatten(A, lo)))))
+    rest = _against_pair(A, D, lo, gamma_source((A, A), 2, 1))
     p = _points(bud, 500)
-    cell_u = WhiskerR(
-        TupleCell((WhiskerL(pair12, Gamma((A, A))), IdCell(Proj(D3, 3)))),
-        Compose((Omega((paa, A)), ApplyT(_flat_left(A, A, A)))))
-    cell_v = WhiskerR(
-        WhiskerL(Tuple((Compose((pair12, gamma_source((A, A), 2, 1))),
-                        Proj(D3, 3))),
-                 Gamma((paa, A))),
-        ApplyT(_flat_left(A, A, A)))
-    return [("grouped", lambda: equal_cell(chain121, VComp((cell_u, cell_v)), p))]
+    return [("grouped", lambda: equal_cell(chain, VComp((swap, rest)), p))]
 
 
 @_suite("yangbaxter.3",
@@ -908,7 +799,8 @@ def _yangbaxter2(ctx: SuiteContext) -> list[Check]:
         " three slots paste to the same 2-cell.")
 def _yangbaxter3(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
-    inners, D3, pair12, pair23, paa, chain121, chain212 = _yb_fixture(A)
+    chain121 = _swap_chain((A, A, A), (1, 2, 1))
+    chain212 = _swap_chain((A, A, A), (2, 1, 2))
     p = _points(bud, 500)
     return [("braid", lambda: equal_cell(chain121, chain212, p))]
 
@@ -916,35 +808,15 @@ def _yangbaxter3(ctx: SuiteContext) -> list[Check]:
 @_suite("newlemma.1",
         "Two swap steps moving the first slot rightward paste to the"
         " interchange of the first slot against the grouped remaining"
-        " pair.")
-def _newlemma1(ctx: SuiteContext) -> list[Check]:
-    A, bud = ctx.base, ctx.bud
-    inners, D3, pair12, pair23, paa, _, _ = _yb_fixture(A)
-    p = _points(bud, 500)
-    pid3 = perms.identity(3)
-    s1 = transposition(3, 1)
-    lhs = VComp((_cover_cell(inners, pid3, 1), _cover_cell(inners, s1, 2)))
-    rhs = WhiskerR(
-        WhiskerL(Tuple((Proj(D3, 1), Compose((pair23, Omega((A, A)))))),
-                 Gamma((A, paa))),
-        ApplyT(_flat_right(A, A, A)))
-    return [("grouped", lambda: equal_cell(lhs, rhs, p))]
-
-
+        " pair.", 2)
 @_suite("newlemma.2",
         "Two swap steps moving the last slot leftward paste to the"
-        " interchange of the grouped leading pair against the last slot.")
-def _newlemma2(ctx: SuiteContext) -> list[Check]:
+        " interchange of the grouped leading pair against the last slot.", 1)
+def _newlemma(ctx: SuiteContext, lo: int) -> list[Check]:
     A, bud = ctx.base, ctx.bud
-    inners, D3, pair12, pair23, paa, _, _ = _yb_fixture(A)
     p = _points(bud, 500)
-    pid3 = perms.identity(3)
-    s2 = transposition(3, 2)
-    lhs = VComp((_cover_cell(inners, pid3, 2), _cover_cell(inners, s2, 1)))
-    rhs = WhiskerR(
-        WhiskerL(Tuple((Compose((pair12, Omega((A, A)))), Proj(D3, 3))),
-                 Gamma((paa, A))),
-        ApplyT(_flat_left(A, A, A)))
+    lhs = _swap_chain((A, A, A), (3 - lo, lo))
+    rhs = _against_pair(A, Prod(_frees((A, A, A))), lo, Omega((A, A)))
     return [("grouped", lambda: equal_cell(lhs, rhs, p))]
 
 
@@ -977,7 +849,7 @@ def _bruhat(ctx: SuiteContext) -> list[Check]:
                           equal_fun(src, data["objects"][p0], pe)))
             named.append((tag + ".tgt",
                           equal_fun(tgt, data["objects"][after], pe)))
-        return _merge(named)
+        return bundle(named)
 
     def chains3():
         data = bruhat_omega((A, A, A))
@@ -996,7 +868,7 @@ def _bruhat(ctx: SuiteContext) -> list[Check]:
         for w in words[1:]:
             tag = "".join(map(str, w))
             named.append((tag, equal_cell(chain(data, 4, w), base, p4)))
-        return _merge(named)
+        return bundle(named)
 
     return [
         ("maximal-chains-3", chains3),
@@ -1031,8 +903,7 @@ def _esigma(ctx: SuiteContext) -> list[Check]:
                                 return _fact(False,
                                              f"associativity broke at {s}, "
                                              f"{(t1, t2)}, {combo}")
-        return Report(kind="structural", passed=True, points=count,
-                      truncated=False, phase="structural")
+        return _fact(True, "", count)
 
     def units():
         count = 0
@@ -1043,8 +914,7 @@ def _esigma(ctx: SuiteContext) -> list[Check]:
                     return _fact(False, f"left unit broke at {s}")
                 if block(s, [perms.identity(1)] * n) != s:
                     return _fact(False, f"right unit broke at {s}")
-        return Report(kind="structural", passed=True, points=count,
-                      truncated=False, phase="structural")
+        return _fact(True, "", count)
 
     def equivariance():
         count = 0
@@ -1062,8 +932,7 @@ def _esigma(ctx: SuiteContext) -> list[Check]:
                         if lhs != rhs:
                             return _fact(False,
                                          f"equivariance broke at {s}, {pi}, {ts}")
-        return Report(kind="structural", passed=True, points=count,
-                      truncated=False, phase="structural")
+        return _fact(True, "", count)
 
     return [("associativity", assoc), ("units", units),
             ("equivariance", equivariance)]
@@ -1106,8 +975,8 @@ def _phi_action(ctx: SuiteContext) -> list[Check]:
                 rhs = sigma_act(phi_T(f, sig), rho)
                 tag = "".join(map(str, sig.images)) + "." + \
                       "".join(map(str, rho.images))
-                named.append((tag, _merge(multicell_equal(lhs, rhs, p))))
-        return _merge(named)
+                named.append((tag, multicell_equal(lhs, rhs, p)))
+        return bundle(named)
 
     def cells():
         named = []
@@ -1119,8 +988,8 @@ def _phi_action(ctx: SuiteContext) -> list[Check]:
             ok = c.source == phi_T(f, sig) and c.target == phi_T(f, tau)
             named.append((tag + ".boundary",
                           _fact(ok, "connecting cell runs between the images")))
-            named.append((tag, _merge(validate_twocell(c, _points(bud, 100)))))
-        return _merge(named)
+            named.append((tag, validate_twocell(c, _points(bud, 100))))
+        return bundle(named)
 
     return [("functorial-action", action), ("connecting-cells", cells)]
 
@@ -1143,29 +1012,29 @@ def _multicat(ctx: SuiteContext) -> list[Check]:
     s, t = Perm((2, 3, 1)), Perm((2, 1, 3))
     m3 = omega_cell((b, b, b))
     return [
-        ("associativity", lambda: _merge(multicell_equal(
+        ("associativity", lambda: multicell_equal(
             gamma_compose(comp, [h, h, h]),
             gamma_compose(f, [gamma_compose(g1, [h, h]),
-                              gamma_compose(g2, [h])]), ps))),
-        ("unit-left", lambda: _merge(multicell_equal(
-            gamma_compose(identity_cell(f.output), [f]), f, p))),
-        ("unit-right", lambda: _merge(multicell_equal(
+                              gamma_compose(g2, [h])]), ps)),
+        ("unit-left", lambda: multicell_equal(
+            gamma_compose(identity_cell(f.output), [f]), f, p)),
+        ("unit-right", lambda: multicell_equal(
             gamma_compose(f, [identity_cell(a) for a in
-                              (FreeAlg(paa), FreeAlg(b))]), f, p))),
-        ("action-functorial", lambda: _merge(multicell_equal(
+                              (FreeAlg(paa), FreeAlg(b))]), f, p)),
+        ("action-functorial", lambda: multicell_equal(
             sigma_act(sigma_act(m3, s), t),
-            sigma_act(m3, perms.compose(s, t)), ps))),
+            sigma_act(m3, perms.compose(s, t)), ps)),
         ("action-identity", lambda: _fact(
             sigma_act(m3, perms.identity(3)) is m3,
             "acting by the identity returns the cell unchanged")),
-        ("top-equivariance", lambda: _merge(multicell_equal(
+        ("top-equivariance", lambda: multicell_equal(
             gamma_compose(sigma_act(f, sw), [g2, g1]),
             sigma_act(comp, block(sw, [perms.identity(1),
-                                       perms.identity(2)])), p))),
-        ("bottom-equivariance", lambda: _merge(multicell_equal(
+                                       perms.identity(2)])), p)),
+        ("bottom-equivariance", lambda: multicell_equal(
             gamma_compose(f, [sigma_act(g1, sw), g2]),
             sigma_act(comp, block(perms.identity(2),
-                                  [sw, perms.identity(1)])), p))),
+                                  [sw, perms.identity(1)])), p)),
     ]
 
 
@@ -1195,8 +1064,7 @@ def _monoid_algebra(ctx: SuiteContext) -> list[Check]:
                                     monoid_algebra_eval(alg, s2))
                 if joint != split:
                     return _fact(False, f"fold broke at {s1} ++ {s2}")
-        return Report(kind="structural", passed=True, points=count,
-                      truncated=False, phase="structural")
+        return _fact(True, "", count)
 
     def bracketings():
         t3 = Prod((mb, mb, mb))
@@ -1211,16 +1079,15 @@ def _monoid_algebra(ctx: SuiteContext) -> list[Check]:
         left = gamma_compose(struct, [free_multi(left_fun)])
         right = gamma_compose(struct, [free_multi(right_fun)])
         pb = _points(_seq(bud, 2), 120)
-        named = [("equal", _merge(multicell_equal(left, right, pb))),
-                 ("pseudo-morphism", _merge(validate_onecell(left, _points(_seq(bud, 2), 60))))]
-        return _merge(named)
+        return bundle([("equal", multicell_equal(left, right, pb)),
+                       ("pseudo-morphism",
+                        validate_onecell(left, _points(_seq(bud, 2), 60)))])
 
     return [
         ("fold-homomorphism", fold_homomorphism),
-        ("structure-map", lambda: _merge(
-            validate_onecell(structure_cell(alg), p))),
-        ("free-structure-map", lambda: _merge(
-            validate_onecell(structure_cell(FreeAlg(b)), _points(bud, 150)))),
+        ("structure-map", lambda: validate_onecell(structure_cell(alg), p)),
+        ("free-structure-map", lambda: validate_onecell(
+            structure_cell(FreeAlg(b)), _points(bud, 150))),
         ("bracketed-multiplications", bracketings),
     ]
 

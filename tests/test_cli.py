@@ -180,6 +180,20 @@ def test_run_unwritable_report_fails_before_the_run(monkeypatch, capsys):
     assert "cannot write the report" in capsys.readouterr().err
 
 
+def test_run_on_a_base_with_no_objects_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("suites ran on an empty base category")
+
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"name": "E", "objects": [], "morphisms": [], "compose": []}')
+    assert cli.main(["validate", str(empty)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "run_suites", no_run)
+    assert cli.main(["run", "--suite", "monad.laws", "--base", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and "no objects" in err and err.count("\n") == 1
+
+
 def test_run_budget_error_fails_only_its_check(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main([*RUN_FAST, "--max-nest", "0", "--report", str(out)]) == 1

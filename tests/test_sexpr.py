@@ -33,6 +33,7 @@ from shufflecat.calculus import (
     VComp,
     WhiskerL,
     WhiskerR,
+    TypecheckError,
     cell_endpoints,
     eval_cell,
     fun_endpoints,
@@ -202,6 +203,19 @@ def test_monoid_heads_need_a_monoid():
     bare = Env(builtin_base("arrow"))
     with pytest.raises(ParseError, match="no monoid bound"):
         parse_fun("(monoid-eval)", bare)
+
+
+def test_nesting_past_the_recursion_limit_raises_the_library_errors():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_cell("(applytcell " * 1200 + "(idcell (identity A))" + ")" * 1200, ENV)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_obj("(" * 3000 + "x" + ")" * 3000, Free(A), ENV)
+    # parses within the recursion limit; typechecking the whiskered
+    # composites needs about twice that depth
+    deep = parse_cell("(whiskerR " * 800 + "(idcell (identity A))" + " (identity A))" * 800,
+                      ENV)
+    with pytest.raises(TypecheckError, match="nested too deeply"):
+        cell_endpoints(deep)
 
 
 # -- printer round-trips ---------------------------------------------------

@@ -11,7 +11,12 @@ from shufflecat.algebras import (
     FreeAlg,
     MonoidAlg,
     MultiCell,
-    all_passed,
+    _coherence_check,
+    _eta_check,
+    _fit,
+    _mu_check,
+    _square_check,
+    _with_free,
     bruhat_omega,
     free_multi,
     gamma_compose,
@@ -84,10 +89,6 @@ SMALL = Budget(max_seq_len=2, max_points=60, seed=0)
 SWAP = Perm((2, 1))
 
 
-def failed(reports):
-    return [(name, r.phase, r.counterexample) for name, r in reports if not r.passed]
-
-
 # ------------------------------------------------------------- objects
 
 
@@ -116,12 +117,13 @@ def test_omega_cell_shape():
 
 
 def test_omega_cell_validates():
-    reports = validate_onecell(omega_cell((D2, D2)), BUD)
-    assert all_passed(reports), failed(reports)
-    names = [n for n, _ in reports]
-    assert "eta[1]" in names
-    assert "mu[2]" in names
-    assert "coherence[1,2]" in names
+    m = omega_cell((D2, D2))
+    report = validate_onecell(m, BUD)
+    assert report.passed, report.counterexample
+    # every sub-check ran: the bundle's points are the sum of theirs
+    subs = [check(m, i, BUD) for check in (_square_check, _eta_check, _mu_check)
+            for i in (1, 2)] + [_coherence_check(m, 1, 2, BUD)]
+    assert report.points == sum(r.points for r in subs)
 
 
 def test_identity_constraint_fails_coherence():
@@ -132,9 +134,9 @@ def test_identity_constraint_fails_coherence():
         underlying=good.underlying,
         constraints=(good.constraints[0], IdCell(good.square_source(2))),
     )
-    reports = dict(validate_onecell(doctored, BUD))
-    assert not reports["coherence[1,2]"].passed
-    assert reports["coherence[1,2]"].counterexample is not None
+    report = _coherence_check(doctored, 1, 2, BUD)
+    assert not report.passed
+    assert report.counterexample is not None
 
 
 def test_unary_collapse_validates():
@@ -147,13 +149,13 @@ def test_unary_collapse_validates():
     f = Compose((Proj(Prod((AR,)), 1), FunBase(table)))
     m = free_multi(f)
     assert m.arity == 1
-    reports = validate_onecell(m, BUD)
-    assert all_passed(reports), failed(reports)
+    report = validate_onecell(m, BUD)
+    assert report.passed, report.counterexample
 
 
 def test_omega_prime_cell_validates():
-    reports = validate_onecell(omega_prime_cell((D2, AR)), BUD)
-    assert all_passed(reports), failed(reports)
+    report = validate_onecell(omega_prime_cell((D2, AR)), BUD)
+    assert report.passed, report.counterexample
 
 
 # ------------------------------------------------------------- composition
@@ -171,21 +173,40 @@ def test_gamma_unity_right():
     f = omega_cell((D2, AR))
     comp = gamma_compose(f, [identity_cell(FreeAlg(D2)), identity_cell(FreeAlg(AR))])
     assert comp.inputs == f.inputs and comp.output == f.output
-    assert all_passed(multicell_equal(comp, f, BUD))
+    assert multicell_equal(comp, f, BUD).passed
 
 
 def test_gamma_unity_left():
     f = omega_cell((D2, AR))
     comp = gamma_compose(identity_cell(f.output), [f])
-    assert all_passed(multicell_equal(comp, f, BUD))
+    assert multicell_equal(comp, f, BUD).passed
+
+
+def test_failing_multicell_equal_names_first_failure_and_sums_points():
+    # the row-major and column-major walks differ in the functor and in
+    # both constraints; every sub-check still runs
+    rows, cols = omega_cell((D2, D2)), omega_prime_cell((D2, D2))
+    report = multicell_equal(rows, cols, BUD)
+    under = equal_fun(rows.underlying, cols.underlying, _fit(BUD, Prod(rows.carriers)))
+    subs = [under] + [
+        equal_cell(rows.constraints[i - 1], cols.constraints[i - 1],
+                   _fit(BUD, Prod(_with_free(rows.carriers, i))))
+        for i in (1, 2)
+    ]
+    assert [r.passed for r in subs] == [False, False, False]
+    assert report.kind == "bundle" and not report.passed
+    assert report.counterexample == {**under.counterexample, "check": "underlying"}
+    assert (report.phase, report.detail) == (under.phase, under.detail)
+    assert report.points == sum(r.points for r in subs)
+    assert report.truncated == any(r.truncated for r in subs)
 
 
 def test_gamma_compose_validates():
     outer = omega_cell((Prod((D2, D2)), D2))
     comp = gamma_compose(outer, [omega_cell((D2, D2)), identity_cell(FreeAlg(D2))])
     assert comp.arity == 3
-    reports = validate_onecell(comp, SMALL)
-    assert all_passed(reports), failed(reports)
+    report = validate_onecell(comp, SMALL)
+    assert report.passed, report.counterexample
 
 
 def test_omega_associativity():
@@ -212,8 +233,8 @@ def test_omega_associativity():
     direct = omega_cell((D2, D2, D2))
     for grouped, flat in ((left, lflat), (right, rflat)):
         flattened = postcompose_free(grouped, TupleFun(flat))
-        reports = multicell_equal(flattened, direct, SMALL)
-        assert all_passed(reports), failed(reports)
+        report = multicell_equal(flattened, direct, SMALL)
+        assert report.passed, report.counterexample
 
 
 # ------------------------------------------------------------- sigma action
@@ -230,7 +251,7 @@ def test_sigma_act_composition():
     both = sigma_act(sigma_act(m, s), t)
     once = sigma_act(m, pcomp(s, t))
     assert both.inputs == once.inputs
-    assert all_passed(multicell_equal(both, once, SMALL))
+    assert multicell_equal(both, once, SMALL).passed
 
 
 def test_sigma_act_swap_on_interleaving():
@@ -239,13 +260,13 @@ def test_sigma_act_swap_on_interleaving():
         omega_prime_cell((AR, D2)), Shuffle(Prod((AR, D2)), SWAP)
     )
     assert m.inputs == relabeled.inputs == (FreeAlg(AR), FreeAlg(D2))
-    reports = multicell_equal(m, relabeled, BUD)
-    assert all_passed(reports), failed(reports)
+    report = multicell_equal(m, relabeled, BUD)
+    assert report.passed, report.counterexample
 
 
 def test_sigma_act_preserves_validity():
-    reports = validate_onecell(sigma_act(omega_cell((D2, AR)), SWAP), BUD)
-    assert all_passed(reports), failed(reports)
+    report = validate_onecell(sigma_act(omega_cell((D2, AR)), SWAP), BUD)
+    assert report.passed, report.counterexample
 
 
 # ------------------------------------------------------------- free_multi
@@ -257,7 +278,7 @@ def test_free_multi_nullary():
     assert m.arity == 0
     assert m.constraints == ()
     assert eval_fun(m.underlying, ()) == seq(("a",))
-    assert all_passed(validate_onecell(m, BUD))
+    assert validate_onecell(m, BUD).passed
 
 
 def test_free_multi_binary_identity_is_omega():
@@ -267,8 +288,8 @@ def test_free_multi_binary_identity_is_omega():
 def test_free_multi_validates():
     m = free_multi(Shuffle(Prod((D2, AR)), SWAP))
     assert m.output == FreeAlg(Prod((AR, D2)))
-    reports = validate_onecell(m, BUD)
-    assert all_passed(reports), failed(reports)
+    report = validate_onecell(m, BUD)
+    assert report.passed, report.counterexample
 
 
 # ------------------------------------------------------------- pseudo_sym
@@ -296,8 +317,8 @@ def test_pseudo_sym_swap_matches_interchange():
 
 def test_pseudo_sym_validates():
     t = pseudo_sym(Identity(Prod((D2, AR))), SWAP)
-    reports = validate_twocell(t, SMALL)
-    assert all_passed(reports), failed(reports)
+    report = validate_twocell(t, SMALL)
+    assert report.passed, report.counterexample
 
 
 def test_pseudo_sym_word_independence():
@@ -372,7 +393,7 @@ def test_phi_T_respects_action():
     fr = Compose((shuffle_into((D2, AR), SWAP), f))
     lhs = phi_T(fr, pcomp(SWAP, SWAP))
     rhs = sigma_act(phi_T(f, SWAP), SWAP)
-    assert all_passed(multicell_equal(lhs, rhs, BUD))
+    assert multicell_equal(lhs, rhs, BUD).passed
 
 
 def test_phi_T_cell_validates():
@@ -380,8 +401,8 @@ def test_phi_T_cell_validates():
     c = phi_T_cell(f, pid(2), SWAP)
     assert c.source == phi_T(f, pid(2))
     assert c.target == phi_T(f, SWAP)
-    reports = validate_twocell(c, SMALL)
-    assert all_passed(reports), failed(reports)
+    report = validate_twocell(c, SMALL)
+    assert report.passed, report.counterexample
 
 
 def test_block_perm():
@@ -397,8 +418,8 @@ def test_gamma_twocell_validates():
     assert t.source == omega_cell((D2, AR))
     assert t.target == omega_prime_cell((D2, AR))
     assert t.component == Gamma((D2, AR))
-    reports = validate_twocell(t, BUD)
-    assert all_passed(reports), failed(reports)
+    report = validate_twocell(t, BUD)
+    assert report.passed, report.counterexample
 
 
 def test_gamma_compose_cell_validates():
@@ -406,8 +427,8 @@ def test_gamma_compose_cell_validates():
     b = identity_twocell(identity_cell(FreeAlg(D2)))
     c = gamma_compose_cell(a, [b, b])
     assert c.source.inputs == (FreeAlg(D2), FreeAlg(D2))
-    reports = validate_twocell(c, SMALL)
-    assert all_passed(reports), failed(reports)
+    report = validate_twocell(c, SMALL)
+    assert report.passed, report.counterexample
 
 
 # ------------------------------------------------------------- monoid algebras
@@ -422,8 +443,8 @@ def test_monoid_algebra_eval_examples():
 
 def test_structure_cell_validates():
     for alg in (MonoidAlg(Z2), FreeAlg(D2)):
-        reports = validate_onecell(structure_cell(alg), BUD)
-        assert all_passed(reports), failed(reports)
+        report = validate_onecell(structure_cell(alg), BUD)
+        assert report.passed, report.counterexample
 
 
 def test_bare_multiplication_is_not_a_cell():
@@ -441,9 +462,9 @@ def test_bare_multiplication_is_not_a_cell():
             for i in (1, 2)
         ),
     )
-    reports = dict(validate_onecell(bare, BUD))
-    assert not reports["square[1]"].passed
-    assert reports["square[1]"].counterexample is not None
+    report = _square_check(bare, 1, BUD)
+    assert not report.passed
+    assert report.counterexample is not None
 
 
 def test_monoid_gamma_compose():
@@ -463,8 +484,8 @@ def test_monoid_gamma_compose():
     left = gamma_compose(struct, [free_multi(left_fun)])
     right = gamma_compose(struct, [free_multi(right_fun)])
     assert left.output == alg
-    assert all_passed(multicell_equal(left, right, BUD))
-    assert all_passed(validate_onecell(left, BUD))
+    assert multicell_equal(left, right, BUD).passed
+    assert validate_onecell(left, BUD).passed
 
 
 # ------------------------------------------------------------- helpers
