@@ -13,6 +13,10 @@ bounded enumeration of the domain: smallest inputs first, so the first
 reported counterexample is a minimal one.  When the space is larger than
 the point budget, a seeded uniform sample is checked and the report says
 so.
+
+Typechecking a cell visits each sub-cell once.  A check typechecks its
+cells once, and evaluation at every point reads each cell node's source,
+target and categories from that pass instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -248,7 +252,8 @@ def _fun_endpoints_cached(f: FunExpr) -> tuple:
 
 @lru_cache(maxsize=None)
 def _cell_endpoints_cached(e) -> tuple:
-    return cell_endpoints(e)
+    """The typecheck's facts about cell e, for evaluation outside a check."""
+    return _cell_facts(e, type(e).__name__, None)
 
 
 def fun_dom(f: FunExpr) -> CatExpr:
@@ -347,6 +352,13 @@ def gamma_source(slots: tuple, i: int, j: int) -> FunExpr:
     )
 
 
+# While a law check runs: id(node) -> (node, what the check knows of it):
+# the typecheck's facts about each cell node, and the memoized entrywise
+# actions of each functor that T applies.  Holding the node keeps its id
+# from being reused during the check.
+_entry_table: Optional[dict] = None
+
+
 def cell_endpoints(e: CellExpr, path: str = "") -> tuple:
     """Source and target functor expressions of a cell.
 
@@ -357,69 +369,82 @@ def cell_endpoints(e: CellExpr, path: str = "") -> tuple:
     recursion limit raises TypecheckError.
     """
     try:
-        where = path or type(e).__name__
-        if isinstance(e, IdCell):
-            fun_endpoints(e.fun, f"{where}.fun")
-            return e.fun, e.fun
-        if isinstance(e, Gamma):
-            _check_gamma(e, where)
-            return (
-                gamma_source(e.slots, e.i, e.j),
-                gamma_source(e.slots, e.j, e.i),
-            )
-        if isinstance(e, GammaInv):
-            _check_gamma(e, where)
-            return (
-                gamma_source(e.slots, e.j, e.i),
-                gamma_source(e.slots, e.i, e.j),
-            )
-        if isinstance(e, VComp):
-            if not e.parts:
-                raise TypecheckError(f"{where}: empty vertical composition")
-            ends = [cell_endpoints(p, f"{where}[{k}]") for k, p in enumerate(e.parts)]
-            cats = [
-                (fun_endpoints(s, f"{where}[{k}].src")) for k, (s, _) in enumerate(ends)
-            ]
-            for k in range(len(ends) - 1):
-                if cats[k] != cats[k + 1]:
-                    raise TypecheckError(
-                        f"{where}[{k + 1}]: vertical composition across different"
-                        " hom-categories"
-                    )
-            return ends[0][0], ends[-1][1]
-        if isinstance(e, HComp):
-            s1, t1 = cell_endpoints(e.first, f"{where}.first")
-            s2, t2 = cell_endpoints(e.second, f"{where}.second")
-            if fun_cod(s1) != fun_dom(s2):
-                raise TypecheckError(f"{where}: horizontal composition endpoints")
-            return Compose((s1, s2)), Compose((t1, t2))
-        if isinstance(e, WhiskerL):
-            s, t = cell_endpoints(e.cell, f"{where}.cell")
-            if fun_cod(e.fun) != fun_dom(s):
-                raise TypecheckError(f"{where}: left whisker endpoints")
-            return Compose((e.fun, s)), Compose((e.fun, t))
-        if isinstance(e, WhiskerR):
-            s, t = cell_endpoints(e.cell, f"{where}.cell")
-            if fun_cod(s) != fun_dom(e.fun):
-                raise TypecheckError(f"{where}: right whisker endpoints")
-            return Compose((s, e.fun)), Compose((t, e.fun))
-        if isinstance(e, ApplyTCell):
-            s, t = cell_endpoints(e.cell, f"{where}.cell")
-            return ApplyT(s), ApplyT(t)
-        if isinstance(e, TupleCell):
-            if not e.parts:
-                raise TypecheckError(f"{where}: empty tuple cell")
-            ends = [cell_endpoints(p, f"{where}[{k}]") for k, p in enumerate(e.parts)]
-            doms = [fun_dom(s) for s, _ in ends]
-            if len(set(doms)) != 1:
-                raise TypecheckError(f"{where}: tuple cell factors need one domain")
-            return (
-                Tuple(tuple(s for s, _ in ends)),
-                Tuple(tuple(t for _, t in ends)),
-            )
-        raise TypecheckError(f"{where}: not a cell expression")
+        return _cell_facts(e, path or type(e).__name__, _entry_table)[:2]
     except RecursionError:
         raise TypecheckError(f"{type(e).__name__}: expression nested too deeply") from None
+
+
+def _cell_facts(e: CellExpr, where: str, table) -> tuple:
+    """(source, target, domain, codomain) of a cell, the last two being the
+    categories its source and target run between.  Each sub-cell is visited
+    once and passes its categories up with its endpoints, so no level walks
+    a composite built below it.  Inside a check, table keeps the facts of
+    every node by id, and a node already there is not visited again."""
+    if table is not None:
+        hit = table.get(id(e))
+        if hit is not None:
+            return hit[1]
+    if isinstance(e, IdCell):
+        facts = (e.fun, e.fun, *fun_endpoints(e.fun, f"{where}.fun"))
+    elif isinstance(e, (Gamma, GammaInv)):
+        _check_gamma(e, where)
+        i, j = (e.i, e.j) if isinstance(e, Gamma) else (e.j, e.i)
+        freed = (i - 1, j - 1)
+        facts = (
+            gamma_source(e.slots, i, j),
+            gamma_source(e.slots, j, i),
+            Prod(tuple(Free(s) if k in freed else s for k, s in enumerate(e.slots))),
+            Free(Prod(tuple(e.slots))),
+        )
+    elif isinstance(e, VComp):
+        if not e.parts:
+            raise TypecheckError(f"{where}: empty vertical composition")
+        parts = [_cell_facts(p, f"{where}[{k}]", table) for k, p in enumerate(e.parts)]
+        for k in range(len(parts) - 1):
+            if parts[k][2:] != parts[k + 1][2:]:
+                raise TypecheckError(
+                    f"{where}[{k + 1}]: vertical composition across different"
+                    " hom-categories"
+                )
+        facts = (parts[0][0], parts[-1][1], *parts[0][2:])
+    elif isinstance(e, TupleCell):
+        if not e.parts:
+            raise TypecheckError(f"{where}: empty tuple cell")
+        parts = [_cell_facts(p, f"{where}[{k}]", table) for k, p in enumerate(e.parts)]
+        if len({p[2] for p in parts}) != 1:
+            raise TypecheckError(f"{where}: tuple cell factors need one domain")
+        facts = (
+            Tuple(tuple(p[0] for p in parts)),
+            Tuple(tuple(p[1] for p in parts)),
+            parts[0][2],
+            Prod(tuple(p[3] for p in parts)),
+        )
+    elif isinstance(e, HComp):
+        s1, t1, d1, c1 = _cell_facts(e.first, f"{where}.first", table)
+        s2, t2, d2, c2 = _cell_facts(e.second, f"{where}.second", table)
+        if c1 != d2:
+            raise TypecheckError(f"{where}: horizontal composition endpoints")
+        facts = Compose((s1, s2)), Compose((t1, t2)), d1, c2
+    elif isinstance(e, WhiskerL):
+        s, t, d, c = _cell_facts(e.cell, f"{where}.cell", table)
+        fd, fc = fun_endpoints(e.fun)
+        if fc != d:
+            raise TypecheckError(f"{where}: left whisker endpoints")
+        facts = Compose((e.fun, s)), Compose((e.fun, t)), fd, c
+    elif isinstance(e, WhiskerR):
+        s, t, d, c = _cell_facts(e.cell, f"{where}.cell", table)
+        fd, fc = fun_endpoints(e.fun)
+        if c != fd:
+            raise TypecheckError(f"{where}: right whisker endpoints")
+        facts = Compose((s, e.fun)), Compose((t, e.fun)), d, fc
+    elif isinstance(e, ApplyTCell):
+        s, t, d, c = _cell_facts(e.cell, f"{where}.cell", table)
+        facts = ApplyT(s), ApplyT(t), Free(d), Free(c)
+    else:
+        raise TypecheckError(f"{where}: not a cell expression")
+    if table is not None:
+        table[id(e)] = (e, facts)
+    return facts
 
 
 def _check_gamma(e, where):
@@ -662,11 +687,6 @@ def _monoid_mult_mor(f: MonoidMult, m):
     return f.monoid.cat.identity(f.monoid.fold(sources))
 
 
-# While a law check runs: id(inner) -> (inner, its memoized entrywise
-# actions).  Holding inner keeps its id from being reused during the check.
-_entry_table: Optional[dict] = None
-
-
 def _tfun(inner: FunExpr) -> Fun:
     """The entrywise actions of inner, looked up once for a whole sequence.
     While a check runs they are memoized, so each distinct entry is
@@ -744,9 +764,23 @@ def _gamma_component(e, x, i: int, j: int):
     return gamma_ij_component(e.slots, len(e.slots), i, j, x, e.partition)
 
 
+def _facts(e: CellExpr) -> tuple:
+    """(source, target, domain, codomain) of cell node e.  Inside a check
+    they are read from the table its typecheck filled (a node it did not
+    reach is typechecked now); a one-off evaluation looks them up in the
+    lru cache."""
+    table = _entry_table
+    if table is None:
+        return _cell_endpoints_cached(e)
+    hit = table.get(id(e))
+    if hit is None:
+        cell_endpoints(e)
+        hit = table[id(e)]
+    return hit[1]
+
+
 def _vcomp_component(e: VComp, x, hcomp_order: int):
-    src, _ = _cell_endpoints_cached(e)
-    lev = level_of(fun_cod(src))
+    lev = level_of(_facts(e)[3])
     acc = eval_cell(e.parts[0], x, hcomp_order)
     for part in e.parts[1:]:
         acc = lev.comp(eval_cell(part, x, hcomp_order), acc)
@@ -754,9 +788,9 @@ def _vcomp_component(e: VComp, x, hcomp_order: int):
 
 
 def _hcomp_component(e: HComp, x, hcomp_order: int):
-    sf, tf = _cell_endpoints_cached(e.first)
-    ss, ts = _cell_endpoints_cached(e.second)
-    lev = level_of(fun_cod(ss))
+    sf, tf, _, _ = _facts(e.first)
+    ss, ts, _, cod = _facts(e.second)
+    lev = level_of(cod)
     left = eval_cell(e.first, x, hcomp_order)
     if hcomp_order == 1:
         return lev.comp(
@@ -770,18 +804,14 @@ def _hcomp_component(e: HComp, x, hcomp_order: int):
 
 
 def _applyt_component(e: ApplyTCell, x, hcomp_order: int):
-    s, t = _cell_endpoints_cached(e.cell)
+    # the endpoints of e are T applied to those of e.cell
+    s, t, _, _ = _facts(e)
     comps = tuple(eval_cell(e.cell, v, hcomp_order) for v in x.entries)
-    return SeqMor(
-        eval_fun(ApplyT(s), x),
-        eval_fun(ApplyT(t), x),
-        perm_identity(len(comps)),
-        comps,
-    )
+    return SeqMor(eval_fun(s, x), eval_fun(t, x), perm_identity(len(comps)), comps)
 
 
 _CELL_ACTIONS = {
-    IdCell: lambda e, x, h: level_of(fun_cod(e.fun)).identity(eval_fun(e.fun, x)),
+    IdCell: lambda e, x, h: level_of(_facts(e)[3]).identity(eval_fun(e.fun, x)),
     Gamma: lambda e, x, h: _gamma_component(e, x, e.i, e.j),
     GammaInv: lambda e, x, h: _gamma_component(e, x, e.j, e.i),
     VComp: _vcomp_component,
@@ -876,11 +906,12 @@ def equal_fun(f: FunExpr, g: FunExpr, bud: Budget) -> Report:
     return _equal_on(f, g, objs, mors, t1 or t2)
 
 
-def _equal_on(f: FunExpr, g: FunExpr, objs, mors, truncated: bool) -> Report:
+def _equal_on(f: FunExpr, g: FunExpr, objs, mors, truncated: bool,
+              values: Optional[list] = None) -> Report:
     """Compare f and g at the given objects, then at the given morphisms,
     stopping at the first failing point.  When f == g each point is
     evaluated once: the comparison cannot fail, but an evaluation error
-    still can."""
+    still can.  The values of f at the objects are appended to values."""
     same = f == g
     points = 0
     for o in objs:
@@ -898,6 +929,8 @@ def _equal_on(f: FunExpr, g: FunExpr, objs, mors, truncated: bool) -> Report:
                 "equal-fun", False, points, truncated,
                 counterexample=_counterexample(o, a, b),
             )
+        if values is not None:
+            values.append(a)
     for m in mors:
         points += 1
         try:
@@ -920,23 +953,27 @@ def _equal_on(f: FunExpr, g: FunExpr, objs, mors, truncated: bool) -> Report:
 def equal_cell(a: CellExpr, b: CellExpr, bud: Budget) -> Report:
     """Pointwise equality of two cells: first their source and target
     1-cells extensionally, then the components at every enumerated point.
-    The shared domain is enumerated once for all three phases."""
-    sa, ta = cell_endpoints(a)
-    sb, tb = cell_endpoints(b)
-    dom = fun_dom(sa)
-    if not fun_dom(sb) == fun_dom(ta) == fun_dom(tb) == dom:
+    The shared domain is enumerated once for all three phases, and the
+    components are checked against the endpoint values those phases
+    computed at each object."""
+    sa, ta, dom, cod = _facts(a)
+    sb, tb, dom_b, _ = _facts(b)
+    # a cell's target runs between the categories of its source
+    if dom_b != dom:
         raise TypecheckError("cannot compare functors with different domains")
     objs, t_objs = enumerate_objects(dom, bud)
     mors, t_mors = enumerate_morphisms(dom, bud)
     truncated = t_objs or t_mors
-    src_report = _equal_on(sa, sb, objs, mors, truncated)
+    src_values: list = []
+    src_report = _equal_on(sa, sb, objs, mors, truncated, src_values)
     if not src_report.passed:
         return Report(
             "equal-cell", False, src_report.points, truncated,
             phase="endpoints-source", counterexample=src_report.counterexample,
             detail="source 1-cells disagree",
         )
-    tgt_report = _equal_on(ta, tb, objs, mors, truncated)
+    tgt_values: list = []
+    tgt_report = _equal_on(ta, tb, objs, mors, truncated, tgt_values)
     if not tgt_report.passed:
         return Report(
             "equal-cell", False,
@@ -944,13 +981,13 @@ def equal_cell(a: CellExpr, b: CellExpr, bud: Budget) -> Report:
             phase="endpoints-target", counterexample=tgt_report.counterexample,
             detail="target 1-cells disagree",
         )
-    cod_level = level_of(fun_cod(sa))
+    cod_level = level_of(cod)
     points = src_report.points + tgt_report.points
-    for o in objs:
+    for o, want_src, want_tgt in zip(objs, src_values, tgt_values):
         points += 1
         try:
             left, right = eval_cell(a, o), eval_cell(b, o)
-            drift = _endpoint_drift(cod_level, left, eval_fun(sa, o), eval_fun(ta, o))
+            drift = _endpoint_drift(cod_level, left, want_src, want_tgt)
         except _EVAL_ERRORS as err:
             return Report(
                 "equal-cell", False, points, t_objs,
@@ -982,10 +1019,9 @@ def _endpoint_drift(lev: CatExpr, component, want_src, want_tgt) -> str:
 def check_naturality(alpha: CellExpr, bud: Budget) -> Report:
     """The components of a cell assemble into a natural transformation:
     both square routes agree on every enumerated morphism."""
-    s, t = cell_endpoints(alpha)
-    dom = fun_dom(s)
+    s, t, dom, cod = _facts(alpha)
     dom_level = level_of(dom)
-    cod_level = level_of(fun_cod(s))
+    cod_level = level_of(cod)
     mors, truncated = enumerate_morphisms(dom, bud)
     points = 0
     for m in mors:

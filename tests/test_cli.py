@@ -207,18 +207,25 @@ def test_run_budget_error_fails_only_its_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "expr, literal",
+    "expr, literal, fragment",
     [
-        ("(applytcell " * 1200 + "(idcell (identity A))" + ")" * 1200, "x"),
-        ("(idcell (identity A))", "(" * 3000 + "x" + ")" * 3000),
-        # parses and typechecks at this depth, and recurses in evaluation
-        ("(hcomp " * 300 + "(idcell (identity A))" + " (idcell (identity A)))" * 300, "x"),
+        ("(applytcell " * 1200 + "(idcell (identity A))" + ")" * 1200, "x",
+         "nested too deeply"),
+        ("(idcell (identity A))", "(" * 3000 + "x" + ")" * 3000, "nested too deeply"),
+        # parses and typechecks at this depth; evaluating a tuple takes more
+        # frames per level than typechecking it, so evaluation recurses
+        ("(idcell " + "(tuple " * 400 + "(identity A)" + ")" * 400 + ")", "x",
+         "evaluation failed"),
+        # parses at this depth, and recurses in typechecking
+        ("(hcomp " * 600 + "(idcell (identity A))" + " (idcell (identity A)))" * 600, "x",
+         "ill-typed expression"),
     ],
 )
-def test_eval_deep_nesting_is_a_usage_error(capsys, expr, literal):
+def test_eval_deep_nesting_is_a_usage_error(capsys, expr, literal, fragment):
     assert cli.main(["eval", expr, literal]) == 2
     err = capsys.readouterr().err
     assert err.startswith("eval: ") and err.count("\n") == 1
+    assert fragment in err
 
 
 def test_deeply_nested_fixture_is_invalid(tmp_path, capsys):

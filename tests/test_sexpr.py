@@ -210,10 +210,15 @@ def test_nesting_past_the_recursion_limit_raises_the_library_errors():
         parse_cell("(applytcell " * 1200 + "(idcell (identity A))" + ")" * 1200, ENV)
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_obj("(" * 3000 + "x" + ")" * 3000, Free(A), ENV)
-    # parses within the recursion limit; typechecking the whiskered
-    # composites needs about twice that depth
-    deep = parse_cell("(whiskerR " * 800 + "(idcell (identity A))" + " (identity A))" * 800,
-                      ENV)
+    # typechecking visits each level once, so this chain typechecks; one
+    # far past the recursion limit still raises its error
+    chain = parse_cell("(whiskerR " * 800 + "(idcell (identity A))" + " (identity A))" * 800,
+                       ENV)
+    src, tgt = cell_endpoints(chain)
+    assert src.parts[1] == tgt.parts[1] == Identity(A)
+    deep = IdCell(Identity(A))
+    for _ in range(2000):
+        deep = WhiskerR(deep, Identity(A))
     with pytest.raises(TypecheckError, match="nested too deeply"):
         cell_endpoints(deep)
 
