@@ -368,8 +368,14 @@ def cell_endpoints(e: CellExpr, path: str = "") -> tuple:
     to strictly commuting squares.  Nesting deeper than the interpreter's
     recursion limit raises TypecheckError.
     """
+    return cell_facts(e, path)[:2]
+
+
+def cell_facts(e: CellExpr, path: str = "") -> tuple:
+    """(source, target, domain, codomain) of a cell: its endpoints and the
+    categories they run between, from the one pass that typechecks it."""
     try:
-        return _cell_facts(e, path or type(e).__name__, _entry_table)[:2]
+        return _cell_facts(e, path or type(e).__name__, _entry_table)
     except RecursionError:
         raise TypecheckError(f"{type(e).__name__}: expression nested too deeply") from None
 
@@ -653,7 +659,10 @@ def eval_fun(f: FunExpr, x):
     actions = _FUN_ACTIONS.get(type(f))
     if actions is None:
         raise TypecheckError(f"not a functor expression: {f!r}")
-    return actions[0](f, x)
+    try:
+        return actions[0](f, x)
+    except RecursionError:
+        raise CalcError(f"{type(f).__name__}: expression nested too deeply to evaluate") from None
 
 
 def eval_fun_mor(f: FunExpr, m):
@@ -661,7 +670,10 @@ def eval_fun_mor(f: FunExpr, m):
     actions = _FUN_ACTIONS.get(type(f))
     if actions is None:
         raise TypecheckError(f"not a functor expression: {f!r}")
-    return actions[1](f, m)
+    try:
+        return actions[1](f, m)
+    except RecursionError:
+        raise CalcError(f"{type(f).__name__}: expression nested too deeply to evaluate") from None
 
 
 def _compose_obj(f: Compose, x):
@@ -757,7 +769,10 @@ def eval_cell(e: CellExpr, x, hcomp_order: int = 1):
     component = _CELL_ACTIONS.get(type(e))
     if component is None:
         raise TypecheckError(f"not a cell expression: {e!r}")
-    return component(e, x, hcomp_order)
+    try:
+        return component(e, x, hcomp_order)
+    except RecursionError:
+        raise CalcError(f"{type(e).__name__}: expression nested too deeply to evaluate") from None
 
 
 def _gamma_component(e, x, i: int, j: int):

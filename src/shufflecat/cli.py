@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .calculus import Budget, CalcError, CatBase, cell_endpoints, eval_cell, fun_endpoints
+from .calculus import Budget, CalcError, CatBase, cell_facts, eval_cell
 from .fincat import FinCatError, load_fincat, load_monoid
 from .fixtures import builtin_base, builtin_base_names, builtin_monoid, builtin_monoid_names
 from .sexpr import Env, ParseError, data_of_mor, parse_cell, parse_obj
@@ -191,8 +191,7 @@ def cmd_eval(args) -> int:
     env = Env(_load_base(args.base), _load_monoid_arg(args.monoid))
     try:
         cell = parse_cell(args.expr, env)
-        src, _ = cell_endpoints(cell)
-        dom, cod = fun_endpoints(src)
+        _, _, dom, cod = cell_facts(cell)
         x = parse_obj(args.literal, dom, env)
     except ParseError as exc:
         print(f"eval: {exc}", file=sys.stderr)
@@ -203,7 +202,7 @@ def cmd_eval(args) -> int:
     try:
         mor = eval_cell(cell, x)
         print(json.dumps(data_of_mor(cod, mor)))
-    except (CalcError, FinCatError, ValueError, KeyError, RecursionError) as exc:
+    except (CalcError, FinCatError, ValueError, KeyError) as exc:
         print(f"eval: evaluation failed: {exc}", file=sys.stderr)
         return 2
     return 0

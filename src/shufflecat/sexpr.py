@@ -14,6 +14,9 @@ The grammar is head-first, whitespace-separated, case-sensitive:
           | (whiskerL fun cell) | (whiskerR cell fun)
           | (applytcell cell) | (tuplecell cell*)
 
+One table describes every head: the kind of expression it makes, its
+constructor and its arguments.  The parser and the printer both read it.
+
 Every category NAME resolves to the environment's single base category;
 writing distinct letters for distinct slots is readability sugar, as in
 ``(gamma A B)``.  Object literals are parsed against an expected category
@@ -41,58 +44,22 @@ Free(inner=Prod(factors=()))
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 from .calculus import (
-    ApplyT,
-    ApplyTCell,
-    CatBase,
-    CatExpr,
-    CellExpr,
-    Compose,
-    Const,
-    Eta,
-    Free,
-    FunBase,
-    FunExpr,
-    Gamma,
-    GammaInv,
-    HComp,
-    IdCell,
-    Identity,
-    MonoidEval,
-    MonoidMult,
-    Mu,
-    Omega,
-    Prod,
-    Proj,
-    Shuffle,
-    Strength,
-    Tuple,
-    TupleCell,
-    VComp,
-    WhiskerL,
-    WhiskerR,
+    ApplyT, ApplyTCell, CatBase, CatExpr, CellExpr, Compose, Eta, Free, FunExpr, Gamma,
+    GammaInv, HComp, IdCell, Identity, MonoidEval, MonoidMult, Mu, Omega, Prod, Proj,
+    Shuffle, Strength, Tuple, TupleCell, VComp, WhiskerL, WhiskerR,
 )
 from .fincat import CommMonoid, FinCat
 from .freesmc import SeqMor, SeqObj
 from .perms import Perm
 
 __all__ = [
-    "Env",
-    "ParseError",
-    "PrintError",
-    "data_of_mor",
-    "data_of_obj",
-    "parse_cat",
-    "parse_cell",
-    "parse_fun",
-    "parse_obj",
-    "print_cat",
-    "print_cell",
-    "print_fun",
-    "print_obj",
+    "Env", "ParseError", "PrintError", "data_of_mor", "data_of_obj", "parse_cat", "parse_cell",
+    "parse_fun", "parse_obj", "print_cat", "print_cell", "print_fun", "print_obj",
 ]
 
 
@@ -199,41 +166,54 @@ def _read(text: str):
     return node
 
 
-# -------------------------------------------------------------- helpers
+# -------------------------------------------------------------- syntax table
+#
+# Every expression head maps to the kind of expression it makes, its
+# constructor, and the kinds of its arguments in text order.  An argument
+# kind is cat, fun, cell, int, perm, or prod (a category that must be a
+# product); a trailing * or + on the last kind gathers the remaining
+# arguments into one tuple, + asking for at least one.
 
-_CAT_HEADS = frozenset({"prod", "free"})
-_FUN_HEADS = frozenset(
-    {
-        "identity",
-        "compose",
-        "tuple",
-        "proj",
-        "shuffle",
-        "applyt",
-        "eta",
-        "mu",
-        "strength",
-        "omega",
-        "monoid-eval",
-        "monoid-mult",
-    }
-)
-_CELL_HEADS = frozenset(
-    {
-        "idcell",
-        "gamma",
-        "gamma-inv",
-        "gamma-at",
-        "gamma-inv-at",
-        "vcomp",
-        "hcomp",
-        "whiskerL",
-        "whiskerR",
-        "applytcell",
-        "tuplecell",
-    }
-)
-_ALL_HEADS = _CAT_HEADS | _FUN_HEADS | _CELL_HEADS | {"perm"}
+_SYNTAX = {
+    "prod": ("cat", Prod, "cat*"),
+    "free": ("cat", Free, "cat"),
+    "identity": ("fun", Identity, "cat"),
+    "compose": ("fun", Compose, "fun+"),
+    "tuple": ("fun", Tuple, "fun*"),
+    "proj": ("fun", Proj, "prod int"),
+    "shuffle": ("fun", Shuffle, "prod perm"),
+    "applyt": ("fun", ApplyT, "fun"),
+    "eta": ("fun", Eta, "cat"),
+    "mu": ("fun", Mu, "cat"),
+    "strength": ("fun", Strength, "int cat+"),
+    "omega": ("fun", Omega, "cat+"),
+    "monoid-eval": ("fun", MonoidEval, ""),
+    "monoid-mult": ("fun", MonoidMult, "int"),
+    "idcell": ("cell", IdCell, "fun"),
+    "gamma": ("cell", Gamma, "cat*"),
+    "gamma-inv": ("cell", GammaInv, "cat*"),
+    "gamma-at": ("cell", Gamma, "int int cat cat+"),
+    "gamma-inv-at": ("cell", GammaInv, "int int cat cat+"),
+    "vcomp": ("cell", VComp, "cell+"),
+    "hcomp": ("cell", HComp, "cell cell"),
+    "whiskerL": ("cell", WhiskerL, "fun cell"),
+    "whiskerR": ("cell", WhiskerR, "cell fun"),
+    "applytcell": ("cell", ApplyTCell, "cell"),
+    "tuplecell": ("cell", TupleCell, "cell*"),
+}
+
+# the words messages use for the kinds of expression
+_KIND = {"cat": "category", "fun": "functor", "cell": "2-cell"}
+
+# (perm i+) is read only as an argument, but its head is reserved too
+_RESERVED = frozenset(_SYNTAX) | {"perm"}
+
+# fields in text order where that differs from their order in the class; the
+# monoid heads take their monoid from the environment, not from the text
+_TEXT_FIELDS = {Strength: ("i", "slots"), MonoidEval: (), MonoidMult: ("n",)}
+
+
+# -------------------------------------------------------------- parsing
 
 
 def _expr_group(node, kind: str):
@@ -252,12 +232,6 @@ def _expr_group(node, kind: str):
     return head.text, node.items[1:], head.offset
 
 
-def _arity(head: str, items, low: int, high, offset: int):
-    if len(items) < low or (high is not None and len(items) > high):
-        want = str(low) if high == low else f"at least {low}"
-        raise ParseError(f"'{head}' takes {want} argument(s), got {len(items)}", offset)
-
-
 def _int_of(node) -> int:
     if not isinstance(node, _Atom):
         raise ParseError("expected an integer", node.offset)
@@ -267,37 +241,12 @@ def _int_of(node) -> int:
         raise ParseError(f"expected an integer, got {node.text!r}", node.offset) from None
 
 
-def _wrong_kind(head: str, want: str, offset: int):
-    for kind, heads in (("category", _CAT_HEADS), ("functor", _FUN_HEADS), ("2-cell", _CELL_HEADS)):
-        if head in heads:
-            raise ParseError(f"expected a {want} expression, got {kind} head {head!r}", offset)
-    raise ParseError(f"unknown {want} head {head!r}", offset)
-
-
-# -------------------------------------------------------------- categories
-
-
-def _cat_of(node, env: Env) -> CatExpr:
-    if isinstance(node, _Comma):
-        raise ParseError("unexpected ','", node.offset)
-    if isinstance(node, _Atom):
-        if node.text in _ALL_HEADS:
-            raise ParseError(f"expected a category name, got reserved word {node.text!r}", node.offset)
-        return env.cat(node.text)
-    head, items, off = _expr_group(node, "category")
-    if head == "prod":
-        return Prod(tuple(_cat_of(n, env) for n in items))
-    if head == "free":
-        _arity(head, items, 1, 1, off)
-        return Free(_cat_of(items[0], env))
-    _wrong_kind(head, "category", off)
-
-
 def _perm_of(node) -> Perm:
     head, items, off = _expr_group(node, "permutation")
     if head != "perm":
         raise ParseError(f"expected (perm ...), got head {head!r}", off)
-    _arity(head, items, 1, None, off)
+    if not items:
+        raise ParseError("'perm' takes at least 1 argument(s), got 0", off)
     images = tuple(_int_of(n) for n in items)
     try:
         return Perm(images)
@@ -305,130 +254,156 @@ def _perm_of(node) -> Perm:
         raise ParseError(str(exc), off) from None
 
 
-# -------------------------------------------------------------- functors
+def _expr_of(node, kind: str, env: Env):
+    """The expression of the given kind that node spells.  Arguments are read by a
+    loop that calls _expr_of itself, so a level of nesting costs one frame."""
+    if kind == "category" and isinstance(node, _Atom):
+        if node.text in _RESERVED:
+            raise ParseError(f"expected a category name, got reserved word {node.text!r}", node.offset)
+        return env.cat(node.text)
+    name, items, off = _expr_group(node, kind)
+    h = _HEADS.get(name)
+    if h is None:
+        raise ParseError(f"unknown {kind} head {name!r}", off)
+    if h.kind != kind:
+        raise ParseError(f"expected a {kind} expression, got {h.kind} head {name!r}", off)
+    if not h.low <= len(items) <= h.high:
+        want = h.low if h.high == h.low else f"at least {h.low}"
+        raise ParseError(f"'{name}' takes {want} argument(s), got {len(items)}", off)
+    args = []
+    for k, item in zip(h.fixed, items):
+        if k == "int":
+            args.append(_int_of(item))
+        elif k == "perm":
+            args.append(_perm_of(item))
+        elif k == "prod":
+            prod = _expr_of(item, "category", env)
+            if not isinstance(prod, Prod):
+                raise ParseError(f"'{name}' needs a product category", item.offset)
+            args.append(prod)
+        else:
+            args.append(_expr_of(item, k, env))
+    if h.rest is not None:
+        more = []
+        for item in items[len(h.fixed):]:
+            more.append(_expr_of(item, h.rest, env))
+        args.append(tuple(more))
+    if h.check is None:
+        return h.ctor(*args)
+    return h.check(h, args, items, off, env)
 
 
-def _fun_of(node, env: Env) -> FunExpr:
-    head, items, off = _expr_group(node, "functor")
-    if head == "identity":
-        _arity(head, items, 1, 1, off)
-        return Identity(_cat_of(items[0], env))
-    if head == "compose":
-        _arity(head, items, 1, None, off)
-        return Compose(tuple(_fun_of(n, env) for n in items))
-    if head == "tuple":
-        return Tuple(tuple(_fun_of(n, env) for n in items))
-    if head == "proj":
-        _arity(head, items, 2, 2, off)
-        prod = _cat_of(items[0], env)
-        if not isinstance(prod, Prod):
-            raise ParseError("'proj' needs a product category", items[0].offset)
-        k = _int_of(items[1])
-        if not 1 <= k <= len(prod.factors):
-            raise ParseError(
-                f"projection index {k} out of range for {len(prod.factors)} factor(s)",
-                items[1].offset,
-            )
-        return Proj(prod, k)
-    if head == "shuffle":
-        _arity(head, items, 2, 2, off)
-        prod = _cat_of(items[0], env)
-        if not isinstance(prod, Prod):
-            raise ParseError("'shuffle' needs a product category", items[0].offset)
-        perm = _perm_of(items[1])
-        if perm.degree != len(prod.factors):
-            raise ParseError(
-                f"permutation degree {perm.degree} does not match {len(prod.factors)} factor(s)",
-                items[1].offset,
-            )
-        return Shuffle(prod, perm)
-    if head == "applyt":
-        _arity(head, items, 1, 1, off)
-        return ApplyT(_fun_of(items[0], env))
-    if head == "eta":
-        _arity(head, items, 1, 1, off)
-        return Eta(_cat_of(items[0], env))
-    if head == "mu":
-        _arity(head, items, 1, 1, off)
-        return Mu(_cat_of(items[0], env))
-    if head == "strength":
-        _arity(head, items, 2, None, off)
-        i = _int_of(items[0])
-        slots = tuple(_cat_of(n, env) for n in items[1:])
-        if not 1 <= i <= len(slots):
-            raise ParseError(f"strength slot {i} out of range for {len(slots)} slot(s)", items[0].offset)
-        return Strength(slots, i)
-    if head == "omega":
-        _arity(head, items, 1, None, off)
-        return Omega(tuple(_cat_of(n, env) for n in items))
-    if head == "monoid-eval":
-        _arity(head, items, 0, 0, off)
-        return MonoidEval(_need_monoid(env, off))
-    if head == "monoid-mult":
-        _arity(head, items, 1, 1, off)
-        n = _int_of(items[0])
-        if n < 0:
-            raise ParseError("multiplication arity must be non-negative", items[0].offset)
-        return MonoidMult(_need_monoid(env, off), n)
-    _wrong_kind(head, "functor", off)
+# Heads whose conditions span their arguments check them, and build the expression.
 
 
-def _need_monoid(env: Env, offset: int) -> CommMonoid:
+def _proj(h, args, items, off, env):
+    prod, k = args
+    if not 1 <= k <= len(prod.factors):
+        raise ParseError(f"projection index {k} out of range for {len(prod.factors)} factor(s)",
+                         items[1].offset)
+    return Proj(prod, k)
+
+
+def _shuffle(h, args, items, off, env):
+    prod, perm = args
+    if perm.degree != len(prod.factors):
+        raise ParseError(f"permutation degree {perm.degree} does not match {len(prod.factors)} "
+                         "factor(s)", items[1].offset)
+    return Shuffle(prod, perm)
+
+
+def _strength(h, args, items, off, env):
+    i, slots = args
+    if not 1 <= i <= len(slots):
+        raise ParseError(f"strength slot {i} out of range for {len(slots)} slot(s)", items[0].offset)
+    return Strength(slots, i)
+
+
+def _monoid(h, args, items, off, env):
+    if args and args[0] < 0:
+        raise ParseError("multiplication arity must be non-negative", items[0].offset)
     if env.monoid is None:
-        raise ParseError("no monoid bound in this environment", offset)
-    return env.monoid
+        raise ParseError("no monoid bound in this environment", off)
+    return h.ctor(env.monoid, *args)
 
 
-# -------------------------------------------------------------- cells
-
-
-def _gamma_slots(head, items, env, offset):
-    slots = tuple(_cat_of(n, env) for n in items)
-    if len(slots) < 2:
-        raise ParseError(f"'{head}' needs at least two slots", offset)
-    return slots
-
-
-def _gamma_at(head, items, env, offset, ctor):
-    _arity(head, items, 4, None, offset)
-    i, j = _int_of(items[0]), _int_of(items[1])
-    slots = _gamma_slots(head, items[2:], env, offset)
+def _gamma(h, args, items, off, env):
+    if len(args) == 1:
+        if len(args[0]) < 2:
+            raise ParseError(f"'{h.name}' needs at least two slots", off)
+        return h.ctor(args[0])
+    i, j, first, rest = args
+    slots = (first,) + rest
     if not (1 <= i <= len(slots) and 1 <= j <= len(slots) and i != j):
-        raise ParseError(f"slot pair ({i}, {j}) invalid for {len(slots)} slot(s)", offset)
-    return ctor(slots, i, j)
+        raise ParseError(f"slot pair ({i}, {j}) invalid for {len(slots)} slot(s)", off)
+    return h.ctor(slots, i, j)
 
 
-def _cell_of(node, env: Env) -> CellExpr:
-    head, items, off = _expr_group(node, "2-cell")
-    if head == "idcell":
-        _arity(head, items, 1, 1, off)
-        return IdCell(_fun_of(items[0], env))
-    if head == "gamma":
-        return Gamma(_gamma_slots(head, items, env, off))
-    if head == "gamma-inv":
-        return GammaInv(_gamma_slots(head, items, env, off))
-    if head == "gamma-at":
-        return _gamma_at(head, items, env, off, Gamma)
-    if head == "gamma-inv-at":
-        return _gamma_at(head, items, env, off, GammaInv)
-    if head == "vcomp":
-        _arity(head, items, 1, None, off)
-        return VComp(tuple(_cell_of(n, env) for n in items))
-    if head == "hcomp":
-        _arity(head, items, 2, 2, off)
-        return HComp(_cell_of(items[0], env), _cell_of(items[1], env))
-    if head == "whiskerL":
-        _arity(head, items, 2, 2, off)
-        return WhiskerL(_fun_of(items[0], env), _cell_of(items[1], env))
-    if head == "whiskerR":
-        _arity(head, items, 2, 2, off)
-        return WhiskerR(_cell_of(items[0], env), _fun_of(items[1], env))
-    if head == "applytcell":
-        _arity(head, items, 1, 1, off)
-        return ApplyTCell(_cell_of(items[0], env))
-    if head == "tuplecell":
-        return TupleCell(tuple(_cell_of(n, env) for n in items))
-    _wrong_kind(head, "2-cell", off)
+_CHECKS = {"proj": _proj, "shuffle": _shuffle, "strength": _strength,
+           "monoid-eval": _monoid, "monoid-mult": _monoid, "gamma": _gamma,
+           "gamma-inv": _gamma, "gamma-at": _gamma, "gamma-inv-at": _gamma}
+
+
+# -------------------------------------------------------------- printing
+
+
+def _join(head: str, parts) -> str:
+    return "(" + head + "".join(" " + p for p in parts) + ")"
+
+
+def _print(x, kind: str) -> str:
+    """Text of x, an expression of the given kind, from its class's table row."""
+    if kind == "category" and isinstance(x, CatBase):
+        return x.cat.name
+    h = _PRINTED_BY.get(type(x))
+    if h is None or h.kind != kind:
+        raise PrintError(f"no textual form for {type(x).__name__}")
+    if h.ctor is Gamma or h.ctor is GammaInv:
+        # the gamma row prints the interchange of slots 1 and 2; others take -at
+        if x.partition != "canonical":
+            raise PrintError("explicit partitions have no textual form")
+        if (x.i, x.j) != (1, 2):
+            slots = [_print(s, "category") for s in x.slots]
+            return _join(h.name + "-at", [str(x.i), str(x.j)] + slots)
+    text = "(" + h.name
+    for get, k, many in h.parts:
+        v = get(x)
+        if many:
+            for p in v:
+                text += " " + _print(p, k)
+        elif k == "int":
+            text += " " + str(v)
+        elif k == "perm":
+            text += " " + _join("perm", [str(i) for i in v.images])
+        else:
+            text += " " + _print(v, k)
+    return text + ")"
+
+
+class _Head:
+    """A row of the syntax table with all the parser and the printer need
+    of it worked out once, so that no node pays for reading the row."""
+
+    __slots__ = ("name", "kind", "ctor", "fixed", "rest", "low", "high", "check", "parts")
+
+    def __init__(self, name: str, made: str, ctor, arg_kinds: str):
+        words = arg_kinds.split()
+        many = bool(words) and words[-1][-1] in "*+"
+        kinds = [_KIND.get(w.rstrip("*+"), w) for w in words]
+        self.name, self.kind, self.ctor, self.check = name, _KIND[made], ctor, _CHECKS.get(name)
+        self.fixed, self.rest = (tuple(kinds[:-1]), kinds[-1]) if many else (tuple(kinds), None)
+        self.low = len(self.fixed) + (many and words[-1][-1] == "+")
+        self.high = float("inf") if many else self.low
+        names = _TEXT_FIELDS.get(ctor, [f.name for f in fields(ctor)])
+        self.parts = tuple(
+            (attrgetter(n), "category" if k == "prod" else k, many and p == len(kinds) - 1)
+            for p, (n, k) in enumerate(zip(names, kinds))
+        )
+
+
+_HEADS = {name: _Head(name, *row) for name, row in _SYNTAX.items()}
+# where two heads build one class, as gamma and gamma-at do, the first prints it
+_PRINTED_BY = {h.ctor: h for h in reversed(_HEADS.values())}
 
 
 # -------------------------------------------------------------- literals
@@ -492,26 +467,26 @@ def _parse(build, text: str, *args):
 
 
 def parse_cat(text: str, env: Env) -> CatExpr:
-    return _parse(_cat_of, text, env)
+    return _parse(_expr_of, text, "category", env)
 
 
 def parse_fun(text: str, env: Env) -> FunExpr:
-    return _parse(_fun_of, text, env)
+    return _parse(_expr_of, text, "functor", env)
 
 
-def _top_cell_of(node, env: Env) -> CellExpr:
+def _top_cell(node, env: Env) -> CellExpr:
     if isinstance(node, _Group) and node.items and isinstance(node.items[0], _Atom):
         head = node.items[0].text
-        if head in _FUN_HEADS:
+        if head in _SYNTAX and _SYNTAX[head][0] == "fun":
             raise ParseError(
                 f"expected a 2-cell expression, got functor head {head!r}; wrap it in (idcell ...)",
                 node.items[0].offset,
             )
-    return _cell_of(node, env)
+    return _expr_of(node, "2-cell", env)
 
 
 def parse_cell(text: str, env: Env) -> CellExpr:
-    return _parse(_top_cell_of, text, env)
+    return _parse(_top_cell, text, env)
 
 
 def parse_obj(text: str, c: CatExpr, env: Env):
@@ -522,74 +497,15 @@ def parse_obj(text: str, c: CatExpr, env: Env):
 
 
 def print_cat(c: CatExpr) -> str:
-    if isinstance(c, CatBase):
-        return c.cat.name
-    if isinstance(c, Prod):
-        return "(prod" + "".join(" " + print_cat(f) for f in c.factors) + ")"
-    if isinstance(c, Free):
-        return f"(free {print_cat(c.inner)})"
-    raise PrintError(f"no textual form for {type(c).__name__}")
-
-
-def _join(head: str, parts) -> str:
-    return "(" + head + "".join(" " + p for p in parts) + ")"
+    return _print(c, "category")
 
 
 def print_fun(f: FunExpr) -> str:
-    if isinstance(f, Identity):
-        return _join("identity", [print_cat(f.cat)])
-    if isinstance(f, Compose):
-        return _join("compose", [print_fun(p) for p in f.parts])
-    if isinstance(f, Tuple):
-        return _join("tuple", [print_fun(p) for p in f.parts])
-    if isinstance(f, Proj):
-        return _join("proj", [print_cat(f.prod), str(f.k)])
-    if isinstance(f, Shuffle):
-        perm = _join("perm", [str(i) for i in f.perm.images])
-        return _join("shuffle", [print_cat(f.prod), perm])
-    if isinstance(f, ApplyT):
-        return _join("applyt", [print_fun(f.inner)])
-    if isinstance(f, Eta):
-        return _join("eta", [print_cat(f.cat)])
-    if isinstance(f, Mu):
-        return _join("mu", [print_cat(f.cat)])
-    if isinstance(f, Strength):
-        return _join("strength", [str(f.i)] + [print_cat(s) for s in f.slots])
-    if isinstance(f, Omega):
-        return _join("omega", [print_cat(s) for s in f.inners])
-    if isinstance(f, MonoidEval):
-        return "(monoid-eval)"
-    if isinstance(f, MonoidMult):
-        return _join("monoid-mult", [str(f.n)])
-    if isinstance(f, (FunBase, Const)):
-        raise PrintError(f"no textual form for {type(f).__name__}")
-    raise PrintError(f"no textual form for {type(f).__name__}")
+    return _print(f, "functor")
 
 
 def print_cell(e: CellExpr) -> str:
-    if isinstance(e, IdCell):
-        return _join("idcell", [print_fun(e.fun)])
-    if isinstance(e, (Gamma, GammaInv)):
-        if e.partition != "canonical":
-            raise PrintError("explicit partitions have no textual form")
-        base = "gamma" if isinstance(e, Gamma) else "gamma-inv"
-        slots = [print_cat(s) for s in e.slots]
-        if (e.i, e.j) == (1, 2):
-            return _join(base, slots)
-        return _join(base + "-at", [str(e.i), str(e.j)] + slots)
-    if isinstance(e, VComp):
-        return _join("vcomp", [print_cell(p) for p in e.parts])
-    if isinstance(e, HComp):
-        return _join("hcomp", [print_cell(e.first), print_cell(e.second)])
-    if isinstance(e, WhiskerL):
-        return _join("whiskerL", [print_fun(e.fun), print_cell(e.cell)])
-    if isinstance(e, WhiskerR):
-        return _join("whiskerR", [print_cell(e.cell), print_fun(e.fun)])
-    if isinstance(e, ApplyTCell):
-        return _join("applytcell", [print_cell(e.cell)])
-    if isinstance(e, TupleCell):
-        return _join("tuplecell", [print_cell(p) for p in e.parts])
-    raise PrintError(f"no textual form for {type(e).__name__}")
+    return _print(e, "2-cell")
 
 
 def print_obj(c: CatExpr, x) -> str:

@@ -338,6 +338,20 @@ def test_eval_tuplecell_and_applytcell():
     )
 
 
+def test_evaluation_past_the_recursion_limit_raises_calc_error():
+    # typechecking a tuple takes fewer frames a level than evaluating it,
+    # so this cell typechecks and its evaluation recurses too deeply
+    deep = Identity(W)
+    for _ in range(400):
+        deep = Tuple((deep,))
+    cell = IdCell(deep)
+    assert cell_endpoints(cell)[0] == deep
+    for run in (lambda: eval_cell(cell, "x"), lambda: eval_fun(deep, "x"),
+                lambda: eval_fun_mor(deep, "f")):
+        with pytest.raises(calculus.CalcError, match="nested too deeply to evaluate"):
+            run()
+
+
 # ---------------------------------------------------------------- equality
 
 

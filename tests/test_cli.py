@@ -216,9 +216,10 @@ def test_run_budget_error_fails_only_its_check(tmp_path, capsys):
         # frames per level than typechecking it, so evaluation recurses
         ("(idcell " + "(tuple " * 400 + "(identity A)" + ")" * 400 + ")", "x",
          "evaluation failed"),
-        # parses at this depth, and recurses in typechecking
+        # parses and typechecks at this depth (the literal's category comes
+        # from the typecheck's own pass), and recurses in evaluation
         ("(hcomp " * 600 + "(idcell (identity A))" + " (idcell (identity A)))" * 600, "x",
-         "ill-typed expression"),
+         "evaluation failed"),
     ],
 )
 def test_eval_deep_nesting_is_a_usage_error(capsys, expr, literal, fragment):
