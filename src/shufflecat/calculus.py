@@ -12,7 +12,8 @@ Equality of functors or 2-cells is decided pointwise over a deterministic
 bounded enumeration of the domain: smallest inputs first, so the first
 reported counterexample is a minimal one.  When the space is larger than
 the point budget, a seeded uniform sample is checked and the report says
-so.
+so.  The category expressions number their own values; this module
+sorts and samples them, with one body for objects and morphisms.
 
 Typechecking a cell visits each sub-cell once.  A check typechecks its
 cells once, and evaluation at every point reads each cell node's source,
@@ -22,7 +23,6 @@ target and categories from that pass instead of deriving them again.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
@@ -44,12 +44,11 @@ from .freesmc import (
     mu_mor,
     omega_n,
     omega_n_mor,
-    seq,
     strength_ti,
     strength_ti_mor,
     tmap,
 )
-from .perms import Perm, all_perms, permute
+from .perms import Perm, permute
 from .perms import identity as perm_identity
 
 
@@ -72,17 +71,13 @@ UNIT = Prod(())
 
 
 def free_depth(c: CatExpr) -> int:
-    if isinstance(c, CatBase):
-        return 0
-    if isinstance(c, Prod):
-        return max((free_depth(f) for f in c.factors), default=0)
-    return 1 + free_depth(c.inner)
+    return c.free_depth()
 
 
 def level_of(c: CatExpr) -> CatExpr:
     """c itself, once checked: a category expression supplies its own
     identities, composition and endpoints."""
-    if not isinstance(c, (CatBase, Prod, Free)):
+    if not isinstance(c, CatExpr):
         raise TypecheckError(f"not a category expression: {c!r}")
     return c
 
@@ -489,116 +484,30 @@ class Budget:
             raise ValueError("budget fields must be positive")
 
 
-@lru_cache(maxsize=None)
 def count_objects(c: CatExpr, bud: Budget) -> int:
-    if isinstance(c, CatBase):
-        return len(c.cat.objects)
-    if isinstance(c, Prod):
-        total = 1
-        for f in c.factors:
-            total *= count_objects(f, bud)
-        return total
-    s = count_objects(c.inner, bud)
-    return sum(s**l for l in range(bud.max_seq_len + 1))
+    return c.count_objects(bud)
 
 
-@lru_cache(maxsize=None)
 def count_morphisms(c: CatExpr, bud: Budget) -> int:
-    if isinstance(c, CatBase):
-        return len(c.cat.all_morphisms())
-    if isinstance(c, Prod):
-        total = 1
-        for f in c.factors:
-            total *= count_morphisms(f, bud)
-        return total
-    m = count_morphisms(c.inner, bud)
-    return sum(math.factorial(l) * m**l for l in range(bud.max_seq_len + 1))
-
-
-def _digits(index: int, base: int, width: int) -> list:
-    out = [0] * width
-    for k in range(width - 1, -1, -1):
-        index, out[k] = divmod(index, base)
-    return out
-
-
-def _part(at, c: CatExpr, bud: Budget, index: int, table):
-    """at(c, bud, index), built once per enumeration when a table is
-    given: the table maps (id(c), index) to the value."""
-    if table is None:
-        return at(c, bud, index)
-    key = (id(c), index)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = at(c, bud, index, table)
-    return value
+    return c.count_morphisms(bud)
 
 
 def object_at(c: CatExpr, bud: Budget, index: int, table=None):
-    if isinstance(c, CatBase):
-        return c.cat.objects[index]
-    if isinstance(c, Prod):
-        vals = []
-        counts = [count_objects(f, bud) for f in c.factors]
-        for k, f in enumerate(c.factors):
-            rest = math.prod(counts[k + 1 :])
-            d, index = divmod(index, rest)
-            vals.append(_part(object_at, f, bud, d, table))
-        return tuple(vals)
-    s = count_objects(c.inner, bud)
-    for l in range(bud.max_seq_len + 1):
-        blocksize = s**l
-        if index < blocksize:
-            digits = _digits(index, s, l) if l else []
-            return seq(tuple(_part(object_at, c.inner, bud, d, table) for d in digits))
-        index -= blocksize
-    raise IndexError("object index out of range")
+    return c.object_at(bud, index, table)
 
 
 def morphism_at(c: CatExpr, bud: Budget, index: int, table=None):
-    if isinstance(c, CatBase):
-        return c.cat.all_morphisms()[index]
-    if isinstance(c, Prod):
-        vals = []
-        counts = [count_morphisms(f, bud) for f in c.factors]
-        for k, f in enumerate(c.factors):
-            rest = math.prod(counts[k + 1 :])
-            d, index = divmod(index, rest)
-            vals.append(_part(morphism_at, f, bud, d, table))
-        return tuple(vals)
-    inner = c.inner
-    m = count_morphisms(inner, bud)
-    for l in range(bud.max_seq_len + 1):
-        blocksize = math.factorial(l) * m**l
-        if index < blocksize:
-            perm_idx, rest = divmod(index, m**l)
-            perm = all_perms(l)[perm_idx]
-            comps = tuple(
-                _part(morphism_at, inner, bud, d, table)
-                for d in (_digits(rest, m, l) if l else [])
-            )
-            source = seq(tuple(inner.src(x) for x in comps))
-            target = [None] * l
-            for i in range(1, l + 1):
-                target[perm(i) - 1] = inner.tgt(comps[i - 1])
-            return SeqMor(source, seq(tuple(target)), perm, comps)
-        index -= blocksize
-    raise IndexError("morphism index out of range")
+    return c.morphism_at(bud, index, table)
 
 
-def _obj_size(v) -> int:
+def _size(v) -> int:
+    """Sort key of enumerated objects and morphisms alike."""
     if isinstance(v, SeqObj):
-        return 1 + sum(_obj_size(e) for e in v.entries)
+        return 1 + sum(_size(e) for e in v.entries)
+    if isinstance(v, SeqMor):
+        return 1 + sum(_size(c) for c in v.components)
     if isinstance(v, tuple):
-        return sum(_obj_size(e) for e in v)
-    return 1
-
-
-def _mor_size(m) -> int:
-    if isinstance(m, SeqMor):
-        return 1 + sum(_mor_size(c) for c in m.components)
-    if isinstance(m, tuple):
-        return sum(_mor_size(c) for c in m)
+        return sum(_size(e) for e in v)
     return 1
 
 
@@ -619,31 +528,24 @@ def _indices(total: int, bud: Budget):
     return sorted(picked), True
 
 
-def _check_nest(c: CatExpr, bud: Budget):
+def _enumerate(c: CatExpr, bud: Budget, count, at):
     d = free_depth(c)
     if d > bud.max_nest:
         raise BudgetError(f"nesting depth {d} exceeds budget {bud.max_nest}")
+    idxs, truncated = _indices(count(c, bud), bud)
+    table: dict = {}
+    return sorted([at(c, bud, i, table) for i in idxs], key=_size), truncated
 
 
 def enumerate_objects(c: CatExpr, bud: Budget):
     """All objects (or a seeded sample when over budget), smallest first.
     Each component object is built once and shared by every point that
     contains it."""
-    _check_nest(c, bud)
-    idxs, truncated = _indices(count_objects(c, bud), bud)
-    table: dict = {}
-    vals = [object_at(c, bud, i, table) for i in idxs]
-    vals.sort(key=_obj_size)
-    return vals, truncated
+    return _enumerate(c, bud, count_objects, object_at)
 
 
 def enumerate_morphisms(c: CatExpr, bud: Budget):
-    _check_nest(c, bud)
-    idxs, truncated = _indices(count_morphisms(c, bud), bud)
-    table: dict = {}
-    vals = [morphism_at(c, bud, i, table) for i in idxs]
-    vals.sort(key=_mor_size)
-    return vals, truncated
+    return _enumerate(c, bud, count_morphisms, morphism_at)
 
 
 # ------------------------------------------------------------- evaluation

@@ -7,8 +7,9 @@ morphisms re-indexes the outer components through the inner permutation.
 
 Category expressions (CatBase, Prod, Free) live here and supply their own
 identities, composition and endpoints: the free category on C takes those
-of its entries from C, so sequences nest to any depth.  The calculus module
-re-exports them.
+of its entries from C, so sequences nest to any depth.  They also number
+their own objects and morphisms, with one mixed-radix decoder for products
+and sequences.  The calculus module re-exports them.
 
 >>> from shufflecat.fincat import load_fincat
 >>> from shufflecat.perms import Perm
@@ -36,16 +37,34 @@ shuffling; on a pair of 2-entry sequences it transposes the middle:
 ...                    "morphisms": [], "compose": []})
 >>> gamma_component(CatBase(lab), CatBase(lab), x, y).perm
 Perm((1, 3, 2, 4))
+
+Shorter values are numbered first, then in mixed radix; a sequence
+morphism's permutation is its most significant digit.  Up to length 2, the
+free category on the arrow has 1 + 2 + 4 objects and 1 + 3 + 2 * 9 morphisms:
+
+>>> from shufflecat.calculus import Budget
+>>> free, bud = Free(CatBase(arrow)), Budget(max_seq_len=2)
+>>> free.count_objects(bud), free.count_morphisms(bud)
+(7, 22)
+>>> free.object_at(bud, 1 + 2 + 2)
+SeqObj(('y', 'x'))
+>>> arrow.all_morphisms()
+('id_x', 'id_y', 'f')
+>>> m = free.morphism_at(bud, 1 + 3 + 1 * 9 + (1 * 3 + 2))
+>>> m.perm, m.components, m.target
+(Perm((2, 1)), ('id_y', 'f'), SeqObj(('y', 'y')))
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import lru_cache
+from typing import Callable, Optional
 
 from .fincat import FinCat
-from .perms import Perm, block, block_right, compose, identity, invert, permute
+from .perms import Perm, all_perms, block, block_right, compose, identity, invert, permute
 
 # Deliberate fault injection for the meta checks: when a mutation name is
 # active, exactly one convention below is flipped.  See the mutations module.
@@ -96,9 +115,40 @@ class SeqMor:
             raise ValueError("need one component per entry")
 
 
+class CatExpr:
+    """A category expression: it numbers its objects and morphisms from 0
+    for a budget, whose max_seq_len bounds the length of sequences."""
+
+    def count_objects(self, bud) -> int:
+        return self._count(bud, False)
+
+    def count_morphisms(self, bud) -> int:
+        return self._count(bud, True)
+
+    def object_at(self, bud, index: int, table=None):
+        return self._at(bud, index, False, {} if table is None else table)
+
+    def morphism_at(self, bud, index: int, table=None):
+        return self._at(bud, index, True, {} if table is None else table)
+
+
+def _decode(index: int, parts, bud, mor: bool, table: dict) -> tuple:
+    """The values (morphisms if mor, else objects) of a mixed-radix index, one
+    per (category, radix) part; table, shared by one enumeration, maps
+    (id(c), digit) to c's value.  The first part is the most significant."""
+    out = [None] * len(parts)
+    for k in range(len(parts) - 1, -1, -1):
+        c, radix = parts[k]
+        index, d = divmod(index, radix)
+        value = out[k] = table.get((id(c), d))
+        if value is None:
+            out[k] = table[id(c), d] = c._at(bud, d, mor, table)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
-class CatBase:
-    """A finite base category; its morphisms are the base's own."""
+class CatBase(CatExpr):
+    """A finite base category; its morphisms and their order are its own."""
 
     cat: FinCat
 
@@ -114,11 +164,20 @@ class CatBase:
     def tgt(self, m):
         return self.cat.tgt(m)
 
+    def free_depth(self) -> int:
+        return 0
+
+    def _count(self, bud, mor: bool) -> int:
+        return len(self.cat.all_morphisms() if mor else self.cat.objects)
+
+    def _at(self, bud, index: int, mor: bool, table):
+        return (self.cat.all_morphisms() if mor else self.cat.objects)[index]
+
 
 @dataclass(frozen=True)
-class Prod:
+class Prod(CatExpr):
     """A flat product: objects and morphisms are tuples, one entry per
-    factor."""
+    factor, numbered in mixed radix with the first factor most significant."""
 
     factors: tuple
 
@@ -139,11 +198,23 @@ class Prod:
     def tgt(self, m):
         return tuple(f.tgt(c) for f, c in self._zip(m))
 
+    def free_depth(self) -> int:
+        return max((f.free_depth() for f in self.factors), default=0)
+
+    @lru_cache(maxsize=None)
+    def _count(self, bud, mor: bool) -> int:
+        return math.prod(f._count(bud, mor) for f in self.factors)
+
+    def _at(self, bud, index: int, mor: bool, table):
+        return _decode(index, [(f, f._count(bud, mor)) for f in self.factors], bud, mor, table)
+
 
 @dataclass(frozen=True)
-class Free:
+class Free(CatExpr):
     """The free symmetric strict monoidal category on inner: identities
-    and composition of entries come from inner."""
+    and composition of entries come from inner.  Shorter values come first;
+    within a length the rank of a morphism's permutation in all_perms(l) is
+    the most significant digit, then come the entries, first entry first."""
 
     inner: CatExpr
 
@@ -159,8 +230,31 @@ class Free:
     def tgt(self, m):
         return m.target
 
+    def free_depth(self) -> int:
+        return 1 + self.inner.free_depth()
 
-CatExpr = Union[CatBase, Prod, Free]
+    @lru_cache(maxsize=None)
+    def _count(self, bud, mor: bool) -> int:
+        radix = self.inner._count(bud, mor)
+        return sum((math.factorial(l) if mor else 1) * radix**l for l in range(bud.max_seq_len + 1))
+
+    def _at(self, bud, index: int, mor: bool, table):
+        inner, radix = self.inner, self.inner._count(bud, mor)
+        for l in range(bud.max_seq_len + 1):
+            block = radix**l
+            size = math.factorial(l) * block if mor else block
+            if index < size:
+                rank, index = divmod(index, block)
+                entries = _decode(index, ((inner, radix),) * l, bud, mor, table)
+                if not mor:
+                    return SeqObj(entries)
+                perm, target = all_perms(l)[rank], [None] * l
+                for i, c in zip(perm.images, entries):
+                    target[i - 1] = inner.tgt(c)
+                source = SeqObj(tuple([inner.src(c) for c in entries]))
+                return SeqMor(source, SeqObj(tuple(target)), perm, entries)
+            index -= size
+        raise IndexError(f"{'morphism' if mor else 'object'} index out of range")
 
 
 def identity_seq(inner: CatExpr, x: SeqObj) -> SeqMor:

@@ -54,7 +54,7 @@ from .calculus import (
     Shuffle, Strength, Tuple, TupleCell, VComp, WhiskerL, WhiskerR,
 )
 from .fincat import CommMonoid, FinCat
-from .freesmc import SeqMor, SeqObj
+from .freesmc import SeqObj
 from .perms import Perm
 
 __all__ = [
@@ -496,54 +496,56 @@ def parse_obj(text: str, c: CatExpr, env: Env):
 # -------------------------------------------------------------- printing
 
 
+def _emit(build, *args):
+    """build(*args); as _parse does on the way in, nesting deeper than the
+    interpreter's recursion limit is an expression with no textual form."""
+    try:
+        return build(*args)
+    except RecursionError:
+        raise PrintError("expression nested too deeply") from None
+
+
 def print_cat(c: CatExpr) -> str:
-    return _print(c, "category")
+    return _emit(_print, c, "category")
 
 
 def print_fun(f: FunExpr) -> str:
-    return _print(f, "functor")
+    return _emit(_print, f, "functor")
 
 
 def print_cell(e: CellExpr) -> str:
-    return _print(e, "2-cell")
+    return _emit(_print, e, "2-cell")
 
 
 def print_obj(c: CatExpr, x) -> str:
-    if isinstance(c, CatBase):
-        return x
-    if isinstance(c, Prod):
-        return "(" + ",".join(print_obj(f, v) for f, v in zip(c.factors, x)) + ")"
-    if isinstance(c, Free):
-        return "(" + " ".join(print_obj(c.inner, e) for e in x.entries) + ")"
-    raise PrintError(f"no textual form for {type(c).__name__}")
-
-
-# -------------------------------------------------------------- serialization
+    return _emit(_literal, c, x, "text")
 
 
 def data_of_obj(c: CatExpr, x):
     """JSON-ready form of an object of ``c``."""
-    if isinstance(c, CatBase):
-        return x
-    if isinstance(c, Prod):
-        return [data_of_obj(f, v) for f, v in zip(c.factors, x)]
-    if isinstance(c, Free):
-        return {"entries": [data_of_obj(c.inner, e) for e in x.entries]}
-    raise PrintError(f"no serialization for {type(c).__name__}")
+    return _emit(_literal, c, x, "object")
 
 
 def data_of_mor(c: CatExpr, m):
     """JSON-ready form of a morphism of ``c``: base morphisms by name,
     product morphisms as lists, sequence morphisms as a permutation in
     one-line form plus one component per source entry."""
+    return _emit(_literal, c, m, "morphism")
+
+
+def _literal(c: CatExpr, v, form: str):
+    """v, a value of c, as literal text or as the JSON-ready data of an
+    object or a morphism."""
     if isinstance(c, CatBase):
-        return m
+        return v
     if isinstance(c, Prod):
-        return [data_of_mor(f, v) for f, v in zip(c.factors, m)]
+        parts = [_literal(f, x, form) for f, x in zip(c.factors, v)]
+        return "(" + ",".join(parts) + ")" if form == "text" else parts
+    if isinstance(c, Free) and form == "morphism":
+        return {"perm": list(v.perm.images),
+                "components": [_literal(c.inner, x, form) for x in v.components]}
     if isinstance(c, Free):
-        assert isinstance(m, SeqMor)
-        return {
-            "perm": list(m.perm.images),
-            "components": [data_of_mor(c.inner, v) for v in m.components],
-        }
-    raise PrintError(f"no serialization for {type(c).__name__}")
+        parts = [_literal(c.inner, x, form) for x in v.entries]
+        return "(" + " ".join(parts) + ")" if form == "text" else {"entries": parts}
+    raise PrintError(f"no {'textual form' if form == 'text' else 'serialization'} "
+                     f"for {type(c).__name__}")

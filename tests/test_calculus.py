@@ -8,10 +8,11 @@ enumeration order and counts, report determinism, and counterexamples.
 
 import itertools
 import json
+import math
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflecat import calculus
@@ -67,8 +68,8 @@ from shufflecat.calculus import (
 )
 from shufflecat.fincat import FunTable, load_fincat
 from shufflecat.mutations import inject
-from shufflecat.freesmc import SeqMor, identity_seq, omega, omega_n, seq, strength_ti
-from shufflecat.perms import Perm, identity, invert
+from shufflecat.freesmc import SeqMor, SeqObj, identity_seq, omega, omega_n, seq, strength_ti
+from shufflecat.perms import Perm, all_perms, identity, invert
 
 DISC2 = load_fincat(
     {"name": "discrete2", "objects": ["x", "y"], "morphisms": [], "compose": []}
@@ -678,7 +679,7 @@ def test_no_table_outlives_a_check():
     assert seen == [None, None]
 
 
-def _enumerate_reference(at, count, size, c, bud):
+def _enumerate_reference(at, count, c, bud, size=calculus._size):
     """enumerate_* with each point built on its own, sharing nothing."""
     idxs, truncated = calculus._indices(count(c, bud), bud)
     return sorted((at(c, bud, i) for i in idxs), key=size), truncated
@@ -690,10 +691,152 @@ def _enumerate_reference(at, count, size, c, bud):
     (Free(Free(W)), Budget(max_seq_len=2, max_points=40, seed=5), True),
 ], ids=["product", "nested", "sampled"])
 def test_shared_enumeration_equals_the_memo_free_reference(c, bud, sampled):
-    want_objs = _enumerate_reference(
-        calculus.object_at, count_objects, calculus._obj_size, c, bud)
-    want_mors = _enumerate_reference(
-        calculus.morphism_at, count_morphisms, calculus._mor_size, c, bud)
+    want_objs = _enumerate_reference(calculus.object_at, count_objects, c, bud)
+    want_mors = _enumerate_reference(calculus.morphism_at, count_morphisms, c, bud)
     assert enumerate_objects(c, bud) == want_objs
     assert enumerate_morphisms(c, bud) == want_mors
     assert want_objs[1] == want_mors[1] == sampled
+
+
+# ------------------------------------------------- numbering, against an oracle
+#
+# A reference numbering written the plain way: one isinstance chain per
+# function, each product and sequence decoded on its own, one size key per
+# kind.  The category expressions' own methods must agree with it at every
+# index, in full and in samples.
+
+
+def ref_free_depth(c) -> int:
+    if isinstance(c, CatBase):
+        return 0
+    if isinstance(c, Prod):
+        return max((ref_free_depth(f) for f in c.factors), default=0)
+    return 1 + ref_free_depth(c.inner)
+
+
+def ref_count_objects(c, bud) -> int:
+    if isinstance(c, CatBase):
+        return len(c.cat.objects)
+    if isinstance(c, Prod):
+        total = 1
+        for f in c.factors:
+            total *= ref_count_objects(f, bud)
+        return total
+    s = ref_count_objects(c.inner, bud)
+    return sum(s**l for l in range(bud.max_seq_len + 1))
+
+
+def ref_count_morphisms(c, bud) -> int:
+    if isinstance(c, CatBase):
+        return len(c.cat.all_morphisms())
+    if isinstance(c, Prod):
+        total = 1
+        for f in c.factors:
+            total *= ref_count_morphisms(f, bud)
+        return total
+    m = ref_count_morphisms(c.inner, bud)
+    return sum(math.factorial(l) * m**l for l in range(bud.max_seq_len + 1))
+
+
+def ref_digits(index: int, base: int, width: int) -> list:
+    out = [0] * width
+    for k in range(width - 1, -1, -1):
+        index, out[k] = divmod(index, base)
+    return out
+
+
+def ref_object_at(c, bud, index: int):
+    if isinstance(c, CatBase):
+        return c.cat.objects[index]
+    if isinstance(c, Prod):
+        vals = []
+        counts = [ref_count_objects(f, bud) for f in c.factors]
+        for k, f in enumerate(c.factors):
+            d, index = divmod(index, math.prod(counts[k + 1 :]))
+            vals.append(ref_object_at(f, bud, d))
+        return tuple(vals)
+    s = ref_count_objects(c.inner, bud)
+    for l in range(bud.max_seq_len + 1):
+        if index < s**l:
+            digits = ref_digits(index, s, l) if l else []
+            return seq(tuple(ref_object_at(c.inner, bud, d) for d in digits))
+        index -= s**l
+    raise IndexError("object index out of range")
+
+
+def ref_morphism_at(c, bud, index: int):
+    if isinstance(c, CatBase):
+        return c.cat.all_morphisms()[index]
+    if isinstance(c, Prod):
+        vals = []
+        counts = [ref_count_morphisms(f, bud) for f in c.factors]
+        for k, f in enumerate(c.factors):
+            d, index = divmod(index, math.prod(counts[k + 1 :]))
+            vals.append(ref_morphism_at(f, bud, d))
+        return tuple(vals)
+    inner = c.inner
+    m = ref_count_morphisms(inner, bud)
+    for l in range(bud.max_seq_len + 1):
+        blocksize = math.factorial(l) * m**l
+        if index < blocksize:
+            perm_idx, rest = divmod(index, m**l)
+            perm = all_perms(l)[perm_idx]
+            comps = tuple(
+                ref_morphism_at(inner, bud, d)
+                for d in (ref_digits(rest, m, l) if l else [])
+            )
+            source = seq(tuple(inner.src(x) for x in comps))
+            target = [None] * l
+            for i in range(1, l + 1):
+                target[perm(i) - 1] = inner.tgt(comps[i - 1])
+            return SeqMor(source, seq(tuple(target)), perm, comps)
+        index -= blocksize
+    raise IndexError("morphism index out of range")
+
+
+def ref_obj_size(v) -> int:
+    if isinstance(v, SeqObj):
+        return 1 + sum(ref_obj_size(e) for e in v.entries)
+    if isinstance(v, tuple):
+        return sum(ref_obj_size(e) for e in v)
+    return 1
+
+
+def ref_mor_size(m) -> int:
+    if isinstance(m, SeqMor):
+        return 1 + sum(ref_mor_size(c) for c in m.components)
+    if isinstance(m, tuple):
+        return sum(ref_mor_size(c) for c in m)
+    return 1
+
+
+# small point budgets enumerate some spaces in full and sample the others
+BUDGETS = st.builds(
+    Budget,
+    max_seq_len=st.integers(1, 3),
+    max_points=st.sampled_from([20, 200]),
+    seed=st.integers(0, 9),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CAT_EXPRS, BUDGETS)
+@example(Prod((A, W)), Budget(max_seq_len=1))
+@example(Free(Prod((W, A))), Budget(max_seq_len=2, max_points=20, seed=3))
+@example(Free(W), Budget(max_seq_len=2))
+def test_numbering_equals_the_reference(c, bud):
+    assert free_depth(c) == ref_free_depth(c)
+    for count, at, enum, ref_count, ref_at, ref_size in (
+        (count_objects, calculus.object_at, enumerate_objects,
+         ref_count_objects, ref_object_at, ref_obj_size),
+        (count_morphisms, calculus.morphism_at, enumerate_morphisms,
+         ref_count_morphisms, ref_morphism_at, ref_mor_size),
+    ):
+        total = count(c, bud)
+        assert total == ref_count(c, bud)
+        idxs, _ = calculus._indices(total, bud)
+        for i in idxs:
+            value = at(c, bud, i)
+            assert value == ref_at(c, bud, i)
+            assert calculus._size(value) == ref_size(value)
+        assert enum(c, bud) == _enumerate_reference(ref_at, ref_count, c, bud, ref_size)

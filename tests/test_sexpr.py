@@ -51,7 +51,7 @@ from shufflecat.calculus import (
 )
 from shufflecat.fincat import FunTable
 from shufflecat.fixtures import builtin_base, builtin_monoid
-from shufflecat.freesmc import SeqObj
+from shufflecat.freesmc import SeqMor, SeqObj
 from shufflecat.perms import Perm
 from shufflecat.sexpr import (
     Env,
@@ -384,6 +384,41 @@ def test_printer_rejects_opaque_values():
         print_fun(Const(A, A, "x"))
     with pytest.raises(PrintError):
         print_cell(Gamma((A, A), 1, 2, ((1,), (2,), ())))
+
+
+def _deepest_parse(head: str, arg: str) -> int:
+    """The deepest chain of head around (idcell (identity A)) that parses."""
+    lo, hi = 1, 3000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse_cell(head * mid + "(idcell (identity A))" + (arg + ")") * mid, ENV)
+            lo = mid
+        except ParseError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("head, arg", [
+    ("(applytcell ", ""), ("(vcomp ", ""), ("(tuplecell ", ""), ("(whiskerR ", " (identity A)"),
+])
+def test_every_parsed_chain_prints(head, arg):
+    depth = _deepest_parse(head, arg)
+    written = head * depth + "(idcell (identity A))" + (arg + ")") * depth
+    text = print_cell(parse_cell(written, ENV))
+    assert text == written.replace(" A)", " arrow)")
+    assert print_cell(parse_cell(text, ENV)) == text
+
+
+def test_printing_past_the_recursion_limit_raises_print_error():
+    cell, c, x, m = IdCell(Identity(A)), A, "x", "id_x"
+    for _ in range(1200):
+        cell = ApplyTCell(cell)
+        c, x, m = Free(c), SeqObj((x,)), SeqMor(SeqObj((x,)), SeqObj((x,)), Perm((1,)), (m,))
+    for show, args in [(print_cell, (cell,)), (print_fun, (ApplyT(Eta(c)),)), (print_cat, (c,)),
+                       (print_obj, (c, x)), (data_of_obj, (c, x)), (data_of_mor, (c, m))]:
+        with pytest.raises(PrintError, match="nested too deeply"):
+            show(*args)
 
 
 def test_data_of_obj_shapes():
