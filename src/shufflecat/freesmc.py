@@ -11,6 +11,10 @@ of its entries from C, so sequences nest to any depth.  They also number
 their own objects and morphisms, with one mixed-radix decoder for products
 and sequences.  The calculus module re-exports them.
 
+Public construction (``SeqObj``, ``SeqMor``, ``seq``) validates its
+arguments; the kernels build their results through the unchecked internal
+constructors ``_obj`` and ``_mor``, from parts that are already valid.
+
 >>> from shufflecat.fincat import load_fincat
 >>> from shufflecat.perms import Perm
 >>> arrow = load_fincat({
@@ -22,7 +26,7 @@ Perm((1, 2))
 SeqObj(('x',))
 >>> mu(seq((seq(("x", "y")), seq(("x",)))))
 SeqObj(('x', 'y', 'x'))
->>> strength_t2("a", seq(("b1", "b2"))).entries
+>>> strength_ti(2, 2, ("a", seq(("b1", "b2")))).entries
 (('a', 'b1'), ('a', 'b2'))
 >>> x, y = seq(("a1", "a2")), seq(("b1", "b2"))
 >>> omega(x, y).entries
@@ -64,15 +68,12 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .fincat import FinCat
-from .perms import Perm, all_perms, block, block_right, compose, identity, invert, permute
+from .perms import Perm, _perm, all_perms, block, block_right, compose, identity, invert, permute
 
 # Deliberate fault injection for the meta checks: when a mutation name is
 # active, exactly one convention below is flipped.  See the mutations module.
+# Each kernel reads it once per call.
 _ACTIVE_MUTATION = None
-
-
-def _mut(name: str) -> bool:
-    return _ACTIVE_MUTATION == name
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,26 @@ class SeqMor:
             raise ValueError("permutation degree does not match length")
         if len(self.components) != n:
             raise ValueError("need one component per entry")
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _obj(entries: tuple) -> SeqObj:
+    """A SeqObj of a tuple, unchecked."""
+    o = _new(SeqObj)
+    _set(o, "entries", entries)
+    return o
+
+
+def _mor(source: SeqObj, target: SeqObj, perm: Perm, components: tuple) -> SeqMor:
+    """A SeqMor of parts whose lengths and degree agree, unchecked."""
+    m = _new(SeqMor)
+    _set(m, "source", source)
+    _set(m, "target", target)
+    _set(m, "perm", perm)
+    _set(m, "components", components)
+    return m
 
 
 class CatExpr:
@@ -187,16 +208,16 @@ class Prod(CatExpr):
         return zip(self.factors, m)
 
     def identity(self, obj):
-        return tuple(f.identity(o) for f, o in self._zip(obj))
+        return tuple([f.identity(o) for f, o in self._zip(obj)])
 
     def comp(self, m2, m1):
-        return tuple(f.comp(a, b) for (f, a), (_, b) in zip(self._zip(m2), self._zip(m1)))
+        return tuple([f.comp(a, b) for (f, a), (_, b) in zip(self._zip(m2), self._zip(m1))])
 
     def src(self, m):
-        return tuple(f.src(c) for f, c in self._zip(m))
+        return tuple([f.src(c) for f, c in self._zip(m)])
 
     def tgt(self, m):
-        return tuple(f.tgt(c) for f, c in self._zip(m))
+        return tuple([f.tgt(c) for f, c in self._zip(m)])
 
     def free_depth(self) -> int:
         return max((f.free_depth() for f in self.factors), default=0)
@@ -258,8 +279,8 @@ class Free(CatExpr):
 
 
 def identity_seq(inner: CatExpr, x: SeqObj) -> SeqMor:
-    n = len(x.entries)
-    return SeqMor(x, x, identity(n), tuple(inner.identity(e) for e in x.entries))
+    entries = x.entries
+    return _mor(x, x, identity(len(entries)), tuple([inner.identity(e) for e in entries]))
 
 
 def sym_mor(inner: CatExpr, x: SeqObj, sigma: Perm) -> SeqMor:
@@ -278,14 +299,14 @@ def compose_seq(inner: CatExpr, m2: SeqMor, m1: SeqMor) -> SeqMor:
     through m1's permutation before composing entrywise."""
     if m1.target != m2.source:
         raise ValueError("cannot compose: endpoints do not meet")
-    if _mut("compose-reindexing"):
+    if _ACTIVE_MUTATION == "compose-reindexing":
         comps = tuple(map(inner.comp, m2.components, m1.components))
     else:
         c2 = m2.components
         comps = tuple(
             [inner.comp(c2[j - 1], c1) for j, c1 in zip(m1.perm.images, m1.components)]
         )
-    return SeqMor(m1.source, m2.target, compose(m2.perm, m1.perm), comps)
+    return _mor(m1.source, m2.target, compose(m2.perm, m1.perm), comps)
 
 
 # ------------------------------------------------------------------ functor
@@ -301,11 +322,12 @@ class Fun:
 
 def tmap(fun: Fun, x):
     """Apply a functor entrywise to a SeqObj or SeqMor."""
+    on_obj = fun.on_obj
     if isinstance(x, SeqObj):
-        return SeqObj(tuple(map(fun.on_obj, x.entries)))
-    return SeqMor(
-        tmap(fun, x.source),
-        tmap(fun, x.target),
+        return _obj(tuple(map(on_obj, x.entries)))
+    return _mor(
+        _obj(tuple(map(on_obj, x.source.entries))),
+        _obj(tuple(map(on_obj, x.target.entries))),
         x.perm,
         tuple(map(fun.on_mor, x.components)),
     )
@@ -315,11 +337,11 @@ def tmap(fun: Fun, x):
 
 
 def eta(a) -> SeqObj:
-    return SeqObj((a,))
+    return _obj((a,))
 
 
 def eta_mor(inner: CatExpr, f) -> SeqMor:
-    return SeqMor(eta(inner.src(f)), eta(inner.tgt(f)), identity(1), (f,))
+    return _mor(_obj((inner.src(f),)), _obj((inner.tgt(f),)), identity(1), (f,))
 
 
 def mu(s: SeqObj) -> SeqObj:
@@ -327,58 +349,26 @@ def mu(s: SeqObj) -> SeqObj:
     out = []
     for e in s.entries:
         out.extend(e.entries)
-    return SeqObj(tuple(out))
+    return _obj(tuple(out))
 
 
 def mu_mor(m: SeqMor) -> SeqMor:
     """Flatten a sequence of sequence morphisms: the underlying permutation
     is the blockwise composite of the outer and inner permutations."""
-    combine = block_right if _mut("mu-block-order") else block
+    combine = block_right if _ACTIVE_MUTATION == "mu-block-order" else block
     p = combine(m.perm, [c.perm for c in m.components])
     comps = []
     for c in m.components:
         comps.extend(c.components)
-    return SeqMor(mu(m.source), mu(m.target), p, tuple(comps))
+    return _mor(mu(m.source), mu(m.target), p, tuple(comps))
 
 
 # ------------------------------------------------------------------ strength
 
 
-def strength_t2(a, y: SeqObj) -> SeqObj:
-    """Pull a plain first factor inside: (a, (b_1 .. b_m)) becomes
-    ((a, b_1) .. (a, b_m))."""
-    return SeqObj(tuple((a, c) for c in y.entries))
-
-
-def strength_t2_mor(alev: CatExpr, f, m: SeqMor) -> SeqMor:
-    a0, a1 = alev.src(f), alev.tgt(f)
-    return SeqMor(
-        strength_t2(a0, m.source),
-        strength_t2(a1, m.target),
-        m.perm,
-        tuple((f, c) for c in m.components),
-    )
-
-
-def strength_t1(x: SeqObj, b) -> SeqObj:
-    """Mirror image of strength_t2 with the plain factor on the right."""
-    return SeqObj(tuple((c, b) for c in x.entries))
-
-
-def strength_t1_mor(blev: CatExpr, m: SeqMor, g) -> SeqMor:
-    b0, b1 = blev.src(g), blev.tgt(g)
-    return SeqMor(
-        strength_t1(m.source, b0),
-        strength_t1(m.target, b1),
-        m.perm,
-        tuple((c, g) for c in m.components),
-    )
-
-
-def _splice(n: int, i: int, args: tuple, entries) -> tuple:
-    """Place each of entries at slot i among the remaining args."""
-    head, tail = args[: i - 1], args[i:]
-    if _mut("strength-slot-index") and n > 1:
+def _splice(n: int, i: int, head: tuple, tail: tuple, entries, slot_fault: bool) -> tuple:
+    """Place each of entries at slot i, between head and tail."""
+    if slot_fault and n > 1:
         k = i if i < n else i - 2
         return tuple(_swap(head + (c,) + tail, i - 1, k) for c in entries)
     return tuple([head + (c,) + tail for c in entries])
@@ -401,9 +391,10 @@ def strength_ti(n: int, i: int, args: tuple) -> SeqObj:
         raise ValueError("argument count does not match arity")
     if not 1 <= i <= n:
         raise ValueError("slot out of range")
+    mut = _ACTIVE_MUTATION
     x = args[i - 1]
-    entries = reversed(x.entries) if _mut("strength-entry-order") else x.entries
-    return SeqObj(_splice(n, i, args, entries))
+    entries = reversed(x.entries) if mut == "strength-entry-order" else x.entries
+    return _obj(_splice(n, i, args[: i - 1], args[i:], entries, mut == "strength-slot-index"))
 
 
 def strength_ti_mor(levels: tuple, n: int, i: int, margs: tuple) -> SeqMor:
@@ -411,16 +402,23 @@ def strength_ti_mor(levels: tuple, n: int, i: int, margs: tuple) -> SeqMor:
     plain slots; the entry for slot i is unused and may be None."""
     if len(margs) != n or len(levels) != n:
         raise ValueError("argument count does not match arity")
-    m = margs[i - 1]
-    src_args = tuple(
-        m.source if k == i - 1 else levels[k].src(margs[k]) for k in range(n)
-    )
-    tgt_args = tuple(
-        m.target if k == i - 1 else levels[k].tgt(margs[k]) for k in range(n)
-    )
-    comps = _splice(n, i, margs, m.components)
-    return SeqMor(
-        strength_ti(n, i, src_args), strength_ti(n, i, tgt_args), m.perm, comps
+    if not 1 <= i <= n:
+        raise ValueError("slot out of range")
+    m, before, after = margs[i - 1], range(i - 1), range(i, n)
+    src_head = tuple([levels[k].src(margs[k]) for k in before])
+    src_tail = tuple([levels[k].src(margs[k]) for k in after])
+    tgt_head = tuple([levels[k].tgt(margs[k]) for k in before])
+    tgt_tail = tuple([levels[k].tgt(margs[k]) for k in after])
+    mut = _ACTIVE_MUTATION
+    slot_fault = mut == "strength-slot-index"
+    sources, targets = m.source.entries, m.target.entries
+    if mut == "strength-entry-order":
+        sources, targets = sources[::-1], targets[::-1]
+    return _mor(
+        _obj(_splice(n, i, src_head, src_tail, sources, slot_fault)),
+        _obj(_splice(n, i, tgt_head, tgt_tail, targets, slot_fault)),
+        m.perm,
+        _splice(n, i, margs[: i - 1], margs[i:], m.components, slot_fault),
     )
 
 
@@ -429,68 +427,34 @@ def strength_ti_mor(levels: tuple, n: int, i: int, margs: tuple) -> SeqMor:
 
 def omega(x: SeqObj, y: SeqObj) -> SeqObj:
     """Row-major interleaving: vary the second sequence fastest."""
-    return SeqObj(tuple((a, b) for a in x.entries for b in y.entries))
+    return _obj(tuple([(a, b) for a in x.entries for b in y.entries]))
 
 
 def omega_prime(x: SeqObj, y: SeqObj) -> SeqObj:
     """Column-major interleaving: vary the first sequence fastest."""
-    return SeqObj(tuple((a, b) for b in y.entries for a in x.entries))
-
-
-def omega_mor(p: SeqMor, q: SeqMor) -> SeqMor:
-    n, m = len(p.components), len(q.components)
-    images = tuple(
-        (p.perm(i) - 1) * m + q.perm(j)
-        for i in range(1, n + 1)
-        for j in range(1, m + 1)
-    )
-    comps = tuple((a, b) for a in p.components for b in q.components)
-    return SeqMor(
-        omega(p.source, q.source), omega(p.target, q.target), Perm(images), comps
-    )
-
-
-def omega_prime_mor(p: SeqMor, q: SeqMor) -> SeqMor:
-    n, m = len(p.components), len(q.components)
-    images = tuple(
-        (q.perm(j) - 1) * n + p.perm(i)
-        for j in range(1, m + 1)
-        for i in range(1, n + 1)
-    )
-    comps = tuple((a, b) for b in q.components for a in p.components)
-    return SeqMor(
-        omega_prime(p.source, q.source),
-        omega_prime(p.target, q.target),
-        Perm(images),
-        comps,
-    )
+    return _obj(tuple([(a, b) for b in y.entries for a in x.entries]))
 
 
 def omega_n(xs: tuple) -> SeqObj:
     """Lexicographic interleaving of any number of sequences; with no
     arguments this is the singleton empty tuple."""
-    return SeqObj(tuple(itertools.product(*(x.entries for x in xs))))
-
-
-def _rank(idx: tuple, lens: tuple) -> int:
-    r = 0
-    for i, l in zip(idx, lens):
-        r = r * l + (i - 1)
-    return r + 1
+    return _obj(tuple(itertools.product(*[x.entries for x in xs])))
 
 
 def omega_n_mor(ms: tuple) -> SeqMor:
     # grid point (i_1 .. i_k), in lexicographic order, goes to the rank of
-    # (perm_1(i_1) .. perm_k(i_k)) and carries the components at i_1 .. i_k
-    lens = tuple([len(m.components) for m in ms])
-    images = tuple(
-        [_rank(idx, lens) for idx in itertools.product(*(m.perm.images for m in ms))]
-    )
-    comps = tuple(itertools.product(*(m.components for m in ms)))
-    return SeqMor(
-        omega_n(tuple(m.source for m in ms)),
-        omega_n(tuple(m.target for m in ms)),
-        Perm(images),
+    # (perm_1(i_1) .. perm_k(i_k)) and carries the components at i_1 .. i_k;
+    # ranks are built up one slot at a time, the last slot varying fastest
+    ranks = [0]
+    for m in ms:
+        l = len(m.components)
+        ranks = [r * l + (j - 1) for r in ranks for j in m.perm.images]
+    images = tuple([r + 1 for r in ranks])
+    comps = tuple(itertools.product(*[m.components for m in ms]))
+    return _mor(
+        omega_n(tuple([m.source for m in ms])),
+        omega_n(tuple([m.target for m in ms])),
+        _perm(images),
         comps,
     )
 
@@ -522,22 +486,16 @@ def gamma_component(alev: CatExpr, blev: CatExpr, x: SeqObj, y: SeqObj) -> SeqMo
     """
     n, m = len(x.entries), len(y.entries)
     images = tuple(
-        (j - 1) * n + i for i in range(1, n + 1) for j in range(1, m + 1)
+        [(j - 1) * n + i for i in range(1, n + 1) for j in range(1, m + 1)]
     )
-    p = Perm(images)
-    if _mut("gamma-transpose-direction"):
+    p = _perm(images)
+    if _ACTIVE_MUTATION == "gamma-transpose-direction":
         p = invert(p)
     source = omega(x, y)
     comps = tuple(
-        (alev.identity(a), blev.identity(b)) for a, b in source.entries
+        [(alev.identity(a), blev.identity(b)) for a, b in source.entries]
     )
-    return SeqMor(source, omega_prime(x, y), p, comps)
-
-
-def gamma_inv_component(alev: CatExpr, blev: CatExpr, x: SeqObj, y: SeqObj) -> SeqMor:
-    g = gamma_component(alev, blev, x, y)
-    ident = identity_seq(Prod((alev, blev)), g.target)
-    return SeqMor(g.target, g.source, invert(g.perm), ident.components)
+    return _mor(source, omega_prime(x, y), p, comps)
 
 
 def partitions_for(n: int, i: int, j: int):

@@ -71,8 +71,16 @@ class Perm:
         return f"Perm({self.images!r})"
 
 
+def _perm(images: tuple) -> Perm:
+    """A Perm of images that are already a bijection of 1..n, unchecked:
+    the kernels below build their results with it."""
+    p = object.__new__(Perm)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def identity(n: int) -> Perm:
-    return Perm(tuple(range(1, n + 1)))
+    return _perm(tuple(range(1, n + 1)))
 
 
 def transposition(n: int, i: int) -> Perm:
@@ -97,14 +105,14 @@ def compose(p: Perm, q: Perm) -> Perm:
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
     images = p.images
-    return Perm(tuple([images[j - 1] for j in q.images]))
+    return _perm(tuple([images[j - 1] for j in q.images]))
 
 
 def invert(p: Perm) -> Perm:
     images = [0] * p.degree
-    for i in range(1, p.degree + 1):
-        images[p(i) - 1] = i
-    return Perm(tuple(images))
+    for i, j in enumerate(p.images, start=1):
+        images[j - 1] = i
+    return _perm(tuple(images))
 
 
 def permute(seq: Sequence, p: Perm) -> tuple:
@@ -148,7 +156,7 @@ def block(sigma: Perm, taus: Iterable[Perm]) -> Perm:
     images = []
     for start, tau in zip(result_offsets, taus):
         images.extend([start + l for l in tau.images])
-    return Perm(tuple(images))
+    return _perm(tuple(images))
 
 
 def block_right(sigma: Perm, taus: Iterable[Perm]) -> Perm:

@@ -44,6 +44,7 @@ Free(inner=Prod(factors=()))
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional
@@ -54,7 +55,7 @@ from .calculus import (
     Shuffle, Strength, Tuple, TupleCell, VComp, WhiskerL, WhiskerR,
 )
 from .fincat import CommMonoid, FinCat
-from .freesmc import SeqObj
+from .freesmc import SeqMor, SeqObj
 from .perms import Perm
 
 __all__ = [
@@ -535,17 +536,25 @@ def data_of_mor(c: CatExpr, m):
 
 def _literal(c: CatExpr, v, form: str):
     """v, a value of c, as literal text or as the JSON-ready data of an
-    object or a morphism."""
+    object or a morphism; PrintError if v has the wrong shape for c or is
+    not a value of its base category."""
+    mor = form == "morphism"
     if isinstance(c, CatBase):
-        return v
-    if isinstance(c, Prod):
-        parts = [_literal(f, x, form) for f, x in zip(c.factors, v)]
-        return "(" + ",".join(parts) + ")" if form == "text" else parts
-    if isinstance(c, Free) and form == "morphism":
-        return {"perm": list(v.perm.images),
-                "components": [_literal(c.inner, x, form) for x in v.components]}
-    if isinstance(c, Free):
-        parts = [_literal(c.inner, x, form) for x in v.entries]
-        return "(" + " ".join(parts) + ")" if form == "text" else {"entries": parts}
-    raise PrintError(f"no {'textual form' if form == 'text' else 'serialization'} "
-                     f"for {type(c).__name__}")
+        if v in (c.cat.all_morphisms() if mor else c.cat.objects):
+            return v
+    elif isinstance(c, Prod):
+        if isinstance(v, tuple) and len(v) == len(c.factors):
+            parts = [_literal(f, x, form) for f, x in zip(c.factors, v)]
+            return "(" + ",".join(parts) + ")" if form == "text" else parts
+    elif isinstance(c, Free):
+        if mor and isinstance(v, SeqMor):
+            return {"perm": list(v.perm.images),
+                    "components": [_literal(c.inner, x, form) for x in v.components]}
+        if not mor and isinstance(v, SeqObj):
+            parts = [_literal(c.inner, x, form) for x in v.entries]
+            return "(" + " ".join(parts) + ")" if form == "text" else {"entries": parts}
+    else:
+        raise PrintError(f"no {'textual form' if form == 'text' else 'serialization'} "
+                         f"for {type(c).__name__}")
+    raise PrintError(f"{reprlib.repr(v)} is not {'a morphism' if mor else 'an object'} "
+                     f"of {print_cat(c)}")

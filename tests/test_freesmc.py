@@ -3,9 +3,13 @@
 Oracles here are independent of the implementation: interleavings are
 recomputed with itertools.product, transpose permutations by matching
 uniquely labelled entries, and every strength/interleaving map is checked
-against its defining composite assembled from smaller primitives.
+against its defining composite assembled from smaller primitives.  The
+binary strengths, the binary interleavings of morphisms and the inverse
+interchange live here as such oracles, built through the validating public
+constructors.
 """
 
+import contextlib
 import itertools
 
 import pytest
@@ -24,30 +28,24 @@ from shufflecat.freesmc import (
     eta,
     eta_mor,
     gamma_component,
-    gamma_inv_component,
     gamma_ij_component,
     identity_seq,
     mu,
     mu_mor,
     omega,
-    omega_mor,
     omega_n,
     omega_n_mor,
     omega_prime,
-    omega_prime_mor,
     omega_sigma,
     omega_sigma_mor,
     partitions_for,
     seq,
-    strength_t1,
-    strength_t1_mor,
-    strength_t2,
-    strength_t2_mor,
     strength_ti,
     strength_ti_mor,
     sym_mor,
     tmap,
 )
+from shufflecat.mutations import MUTATIONS, inject
 from shufflecat.perms import Perm, all_perms, block, compose, identity, invert, permute
 
 ARROW = load_fincat(
@@ -95,6 +93,75 @@ def extend(m):
     for i, c in enumerate(comps):
         target[i] = ARROW.tgt(c)
     return SeqMor(m.target, SeqObj(tuple(target)), identity(len(comps)), comps)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def strength_t2(a, y):
+    """Pull a plain first factor inside: (a, (b_1 .. b_m)) becomes
+    ((a, b_1) .. (a, b_m))."""
+    return SeqObj(tuple((a, c) for c in y.entries))
+
+
+def strength_t2_mor(alev, f, m):
+    a0, a1 = alev.src(f), alev.tgt(f)
+    return SeqMor(
+        strength_t2(a0, m.source),
+        strength_t2(a1, m.target),
+        m.perm,
+        tuple((f, c) for c in m.components),
+    )
+
+
+def strength_t1(x, b):
+    """Mirror image of strength_t2 with the plain factor on the right."""
+    return SeqObj(tuple((c, b) for c in x.entries))
+
+
+def strength_t1_mor(blev, m, g):
+    b0, b1 = blev.src(g), blev.tgt(g)
+    return SeqMor(
+        strength_t1(m.source, b0),
+        strength_t1(m.target, b1),
+        m.perm,
+        tuple((c, g) for c in m.components),
+    )
+
+
+def omega_mor(p, q):
+    n, m = len(p.components), len(q.components)
+    images = tuple(
+        (p.perm(i) - 1) * m + q.perm(j)
+        for i in range(1, n + 1)
+        for j in range(1, m + 1)
+    )
+    comps = tuple((a, b) for a in p.components for b in q.components)
+    return SeqMor(
+        omega(p.source, q.source), omega(p.target, q.target), Perm(images), comps
+    )
+
+
+def omega_prime_mor(p, q):
+    n, m = len(p.components), len(q.components)
+    images = tuple(
+        (q.perm(j) - 1) * n + p.perm(i)
+        for j in range(1, m + 1)
+        for i in range(1, n + 1)
+    )
+    comps = tuple((a, b) for b in q.components for a in p.components)
+    return SeqMor(
+        omega_prime(p.source, q.source),
+        omega_prime(p.target, q.target),
+        Perm(images),
+        comps,
+    )
+
+
+def gamma_inv_component(alev, blev, x, y):
+    g = gamma_component(alev, blev, x, y)
+    ident = identity_seq(Prod((alev, blev)), g.target)
+    return SeqMor(g.target, g.source, invert(g.perm), ident.components)
 
 
 # ---------------------------------------------------------------- basics
@@ -692,3 +759,91 @@ def test_mutations_flip_and_restore():
     with pytest.raises(KeyError):
         with inject("nonsense"):
             pass
+
+
+# ---------------------------------------------------------------- validation
+
+
+def test_public_constructors_stay_strict():
+    with pytest.raises(TypeError, match=r"^SeqObj entries must be a tuple$"):
+        SeqObj(["x", "y"])
+    xy, x = seq(("x", "y")), seq(("x",))
+    with pytest.raises(ValueError, match=r"^source and target lengths differ$"):
+        SeqMor(xy, x, identity(2), ("id_x", "id_y"))
+    with pytest.raises(ValueError, match=r"^permutation degree does not match length$"):
+        SeqMor(xy, xy, identity(1), ("id_x", "id_y"))
+    with pytest.raises(ValueError, match=r"^need one component per entry$"):
+        SeqMor(xy, xy, identity(2), ("id_x",))
+
+
+def revalidate(v):
+    """Rebuild every Perm, SeqObj and SeqMor inside v through the public
+    constructors and check that each equals the value it was built from."""
+    if isinstance(v, Perm):
+        assert Perm(v.images) == v
+    elif isinstance(v, SeqObj):
+        assert SeqObj(v.entries) == v
+        revalidate(v.entries)
+    elif isinstance(v, SeqMor):
+        assert SeqMor(v.source, v.target, v.perm, v.components) == v
+        for part in (v.source, v.target, v.perm, v.components):
+            revalidate(part)
+    elif isinstance(v, tuple):
+        for part in v:
+            revalidate(part)
+
+
+def kernel_calls(m, p, q, i):
+    """(kernel, args) for every kernel that builds its result unchecked."""
+    flev = Free(ALEV)
+    # p in the first slot and q in the second, swapped into place
+    nested = SeqMor(
+        seq((p.source, q.source)), seq((q.target, p.target)), SWAP, (p, q)
+    )
+    plain_objs, plain_mors = ("x", "y", "x"), ("f", "id_y", "id_x")
+    args = plain_objs[: i - 1] + (m.source,) + plain_objs[i:]
+    margs = plain_mors[: i - 1] + (m,) + plain_mors[i:]
+    levels = (ALEV, ALEV, ALEV)[: i - 1] + (None,) + (ALEV, ALEV, ALEV)[i:]
+    return [
+        (identity, (m.perm.degree,)),
+        (compose, (m.perm, invert(m.perm))),
+        (invert, (m.perm,)),
+        (block, (SWAP, [p.perm, q.perm])),
+        (identity_seq, (ALEV, m.source)),
+        (compose_seq, (ALEV, extend(m), m)),
+        (tmap, (COLLAPSE, m)),
+        (tmap, (COLLAPSE, m.target)),
+        (tmap, (Fun(eta, lambda f: eta_mor(ALEV, f)), m)),
+        (eta, ("x",)),
+        (eta_mor, (ALEV, "f")),
+        (mu, (nested.source,)),
+        (mu_mor, (nested,)),
+        (identity_seq, (flev, nested.target)),
+        (strength_ti, (3, i, args)),
+        (strength_ti_mor, (levels, 3, i, margs)),
+        (omega, (p.source, q.source)),
+        (omega_prime, (p.source, q.source)),
+        (omega_n, ((p.source, q.source, m.source),)),
+        (omega_n_mor, ((p, q, m),)),
+        (gamma_component, (ALEV, ALEV, p.source, q.source)),
+        (gamma_ij_component, ((ALEV,) * 3, 3, 1, 3, (p.source, "x", q.source))),
+        (omega_sigma_mor, (SWAP, (p, q))),
+    ]
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(MUTATIONS)])
+@settings(max_examples=30, deadline=None)
+@given(seq_mors(), seq_mors(max_len=2), seq_mors(max_len=2), st.integers(1, 3))
+def test_kernel_outputs_pass_the_public_validators(mutation, m, p, q, i):
+    calls = kernel_calls(m, p, q, i)
+    outputs = []
+    with inject(mutation) if mutation else contextlib.nullcontext():
+        for kernel, args in calls:
+            try:
+                outputs.append(kernel(*args))
+            except ValueError:  # a faulty convention may meet no composable pair
+                if mutation is None:
+                    raise
+    assert outputs
+    for out in outputs:
+        revalidate(out)

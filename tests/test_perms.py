@@ -46,11 +46,11 @@ def test_degree_zero_and_one_are_identities():
 
 
 def test_rejects_non_bijections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a bijection of 1\.\.2: \(1, 1\)$"):
         Perm((1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a bijection of 1\.\.2: \(0, 1\)$"):
         Perm((0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a bijection of 1\.\.2: \(2, 3\)$"):
         Perm((2, 3))
 
 

@@ -427,6 +427,23 @@ def test_data_of_obj_shapes():
     assert data_of_obj(c, x) == ["x", {"entries": ["y", "x"]}]
 
 
+@pytest.mark.parametrize("show, c, v, message", [
+    (data_of_obj, Free(A), "x", "'x' is not an object of (free arrow)"),
+    (print_obj, Prod((A,)), "x", "'x' is not an object of (prod arrow)"),
+    (print_obj, A, 3, "3 is not an object of arrow"),
+    (print_obj, A, "f", "'f' is not an object of arrow"),
+    (data_of_mor, Free(A), "f", "'f' is not a morphism of (free arrow)"),
+    (data_of_mor, A, "x", "'x' is not a morphism of arrow"),
+    (data_of_mor, Prod((A, A)), ("f",), "('f',) is not a morphism of (prod arrow arrow)"),
+    (data_of_obj, Free(A), SeqObj(("x", "z")), "'z' is not an object of arrow"),
+    (data_of_mor, Free(A), SeqObj(("x",)), "SeqObj(('x',)) is not a morphism of (free arrow)"),
+])
+def test_literals_reject_values_of_another_category(show, c, v, message):
+    with pytest.raises(PrintError) as exc:
+        show(c, v)
+    assert str(exc.value) == message
+
+
 # -- the parser and printer as first written, as an oracle ------------------
 #
 # Before one syntax table described every head, each head was written down
