@@ -56,7 +56,6 @@ from .calculus import (
     fun_cod,
     fun_dom,
     fun_endpoints,
-    gamma_source,
     prod_map,
 )
 from .fincat import CommMonoid
@@ -390,25 +389,6 @@ def omega_cell(inners: Sequence[CatExpr]) -> MultiCell:
         )
         cons = tuple(WhiskerR(c, ApplyT(flat)) for c in rec.constraints)
     return MultiCell(tuple(FreeAlg(a) for a in inners), FreeAlg(prod), und, cons)
-
-
-def omega_prime_cell(inners: Sequence[CatExpr]) -> MultiCell:
-    """Reverse interleaving for two slots: second slot slowest."""
-    a, b = tuple(inners)
-    prod = Prod((a, b))
-    carriers = (Free(a), Free(b))
-    und = gamma_source((a, b), 2, 1)
-    first = WhiskerR(
-        Gamma((Free(a), b)),
-        Compose((ApplyT(Strength((a, b), 1)), Mu(prod))),
-    )
-    second = IdCell(Compose((Strength(carriers, 2), ApplyT(und), Mu(prod))))
-    return MultiCell((FreeAlg(a), FreeAlg(b)), FreeAlg(prod), und, (first, second))
-
-
-def gamma_twocell(a: CatExpr, b: CatExpr) -> MultiTwoCell:
-    """The interchange, as a 2-cell between the two interleaving cells."""
-    return MultiTwoCell(omega_cell((a, b)), omega_prime_cell((a, b)), Gamma((a, b)))
 
 
 def _block_proj(dom: CatExpr, lo: int, hi: int) -> FunExpr:

@@ -480,8 +480,10 @@ class Budget:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.max_seq_len, self.max_points) < 1 or self.max_nest < 0:
-            raise ValueError("budget fields must be positive")
+        for name, least in (("max_seq_len", 1), ("max_nest", 0), ("max_points", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def count_objects(c: CatExpr, bud: Budget) -> int:
@@ -666,13 +668,13 @@ _FUN_ACTIONS = {
 }
 
 
-def eval_cell(e: CellExpr, x, hcomp_order: int = 1):
+def eval_cell(e: CellExpr, x):
     """Component of a 2-cell at an object of its source's domain."""
     component = _CELL_ACTIONS.get(type(e))
     if component is None:
         raise TypecheckError(f"not a cell expression: {e!r}")
     try:
-        return component(e, x, hcomp_order)
+        return component(e, x)
     except RecursionError:
         raise CalcError(f"{type(e).__name__}: expression nested too deeply to evaluate") from None
 
@@ -696,47 +698,41 @@ def _facts(e: CellExpr) -> tuple:
     return hit[1]
 
 
-def _vcomp_component(e: VComp, x, hcomp_order: int):
+def _vcomp_component(e: VComp, x):
     lev = level_of(_facts(e)[3])
-    acc = eval_cell(e.parts[0], x, hcomp_order)
+    acc = eval_cell(e.parts[0], x)
     for part in e.parts[1:]:
-        acc = lev.comp(eval_cell(part, x, hcomp_order), acc)
+        acc = lev.comp(eval_cell(part, x), acc)
     return acc
 
 
-def _hcomp_component(e: HComp, x, hcomp_order: int):
-    sf, tf, _, _ = _facts(e.first)
-    ss, ts, _, cod = _facts(e.second)
+def _hcomp_component(e: HComp, x):
+    # by the exchange law the other order, second at the source's image
+    # followed by the target image of first, gives the same component
+    _, tf, _, _ = _facts(e.first)
+    ss, _, _, cod = _facts(e.second)
     lev = level_of(cod)
-    left = eval_cell(e.first, x, hcomp_order)
-    if hcomp_order == 1:
-        return lev.comp(
-            eval_cell(e.second, eval_fun(tf, x), hcomp_order),
-            eval_fun_mor(ss, left),
-        )
-    return lev.comp(
-        eval_fun_mor(ts, left),
-        eval_cell(e.second, eval_fun(sf, x), hcomp_order),
-    )
+    left = eval_cell(e.first, x)
+    return lev.comp(eval_cell(e.second, eval_fun(tf, x)), eval_fun_mor(ss, left))
 
 
-def _applyt_component(e: ApplyTCell, x, hcomp_order: int):
+def _applyt_component(e: ApplyTCell, x):
     # the endpoints of e are T applied to those of e.cell
     s, t, _, _ = _facts(e)
-    comps = tuple(eval_cell(e.cell, v, hcomp_order) for v in x.entries)
+    comps = tuple(eval_cell(e.cell, v) for v in x.entries)
     return SeqMor(eval_fun(s, x), eval_fun(t, x), perm_identity(len(comps)), comps)
 
 
 _CELL_ACTIONS = {
-    IdCell: lambda e, x, h: level_of(_facts(e)[3]).identity(eval_fun(e.fun, x)),
-    Gamma: lambda e, x, h: _gamma_component(e, x, e.i, e.j),
-    GammaInv: lambda e, x, h: _gamma_component(e, x, e.j, e.i),
+    IdCell: lambda e, x: level_of(_facts(e)[3]).identity(eval_fun(e.fun, x)),
+    Gamma: lambda e, x: _gamma_component(e, x, e.i, e.j),
+    GammaInv: lambda e, x: _gamma_component(e, x, e.j, e.i),
     VComp: _vcomp_component,
     HComp: _hcomp_component,
-    WhiskerL: lambda e, x, h: eval_cell(e.cell, eval_fun(e.fun, x), h),
-    WhiskerR: lambda e, x, h: eval_fun_mor(e.fun, eval_cell(e.cell, x, h)),
+    WhiskerL: lambda e, x: eval_cell(e.cell, eval_fun(e.fun, x)),
+    WhiskerR: lambda e, x: eval_fun_mor(e.fun, eval_cell(e.cell, x)),
     ApplyTCell: _applyt_component,
-    TupleCell: lambda e, x, h: tuple([eval_cell(p, x, h) for p in e.parts]),
+    TupleCell: lambda e, x: tuple([eval_cell(p, x) for p in e.parts]),
 }
 
 

@@ -2,11 +2,12 @@
 
 A suite is a datum: a stable identifier, the law it checks stated in
 plain language, and a builder that turns fixtures plus a budget into a
-list of named check thunks.  Each thunk returns one ``Report``; a check
-made of several sub-checks returns their ``algebras.bundle``.  Thunks are
-deferred so ``catalog`` can count checks without evaluating anything.
-The mirrored laws (left and right slot, left and right bracketing) share
-one builder, registered once per suite id with the side as an argument.
+list of named checks.  A check is ``(name, partial(fn, *inputs))`` with
+``fn`` a checker or a check function of this module; called, it builds
+most heavy cells itself and returns one ``Report``, the ``bundle`` of its
+sub-checks if it has several.  So building a suite evaluates nothing,
+and a check pickles and shows its inputs.  The mirrored laws share one
+builder, registered once per suite id with the side as an argument.
 Reports are deterministic for a fixed context; wall-clock times are
 attached only on request so repeated runs serialize to identical bytes.
 """
@@ -17,6 +18,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import perms
@@ -92,7 +94,7 @@ from .fixtures import builtin_base, builtin_monoid
 from .freesmc import partitions_for
 from .perms import Perm, all_perms, block, reduced_words, transposition, word_to_perm
 
-Check = tuple[str, Callable[[], Report]]
+Check = tuple[str, partial[Report]]
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,8 @@ SUITES: dict[str, Suite] = {}
 
 DEFAULT_BUDGET = Budget(max_seq_len=3, max_nest=2, max_points=20000, seed=0)
 
+_SWAP = Perm((2, 1))
+
 
 def default_context(base: str = "arrow", monoid: str = "z2",
                     bud: Optional[Budget] = None) -> SuiteContext:
@@ -124,9 +128,9 @@ def default_context(base: str = "arrow", monoid: str = "z2",
 
 
 def _suite(ident: str, law: str, *args):
-    """Register fn as the builder of suite ident, called as fn(ctx, *args)."""
+    """Register fn as the builder of suite ident, called as fn(*args, ctx)."""
     def register(fn):
-        SUITES[ident] = Suite(ident, law, lambda ctx: fn(ctx, *args))
+        SUITES[ident] = Suite(ident, law, partial(fn, *args))
         return fn
     return register
 
@@ -230,6 +234,45 @@ def _blocked_identity(base: CatExpr, sizes: Sequence[int]):
 # ------------------------------------------------------------- suites
 
 
+def _mu_functoriality(A: CatExpr, bud: Budget) -> Report:
+    # composable pairs of nested sequence morphisms exercise the
+    # component re-indexing that plain domain points never reach
+    dom, flat, mu = Free(Free(A)), Free(A), Mu(A)
+    b2 = replace(bud, max_seq_len=min(bud.max_seq_len, 2),
+                 max_points=min(bud.max_points, 800))
+    mors, truncated = enumerate_morphisms(dom, b2)
+    by_src: dict = {}
+    for m in mors:
+        by_src.setdefault(m.source, []).append(m)
+    cap = min(bud.max_points, 800)
+    count = 0
+    for m1 in mors:
+        for m2 in by_src.get(m1.target, ()):
+            if count >= cap:
+                truncated = True
+                break
+            count += 1
+            try:
+                lhs = eval_fun_mor(mu, dom.comp(m2, m1))
+                rhs = flat.comp(eval_fun_mor(mu, m2), eval_fun_mor(mu, m1))
+                ok = lhs == rhs
+                note = ""
+            except _EVAL_ERRORS as err:
+                ok, lhs, rhs = False, None, None
+                note = f"{type(err).__name__}: {err}"
+            if not ok:
+                return Report(
+                    kind="fun-equality", passed=False, points=count,
+                    truncated=truncated, phase="composition",
+                    counterexample={"first": repr(m1), "second": repr(m2),
+                                    "left": repr(lhs), "right": repr(rhs),
+                                    "note": note})
+        if count >= cap:
+            break
+    return Report(kind="fun-equality", passed=True, points=count,
+                  truncated=truncated, phase="composition")
+
+
 @_suite("monad.laws",
         "Inserting a singleton and then erasing parentheses is the identity"
         " on either side, erasing is associative and natural, and erasing"
@@ -240,62 +283,20 @@ def _monad_laws(ctx: SuiteContext) -> list[Check]:
     p = _points(bud, 2000)
     assoc = replace(bud, max_nest=3, max_seq_len=min(bud.max_seq_len, 2),
                     max_points=min(bud.max_points, 4000))
-
-    def mu_functoriality():
-        # composable pairs of nested sequence morphisms exercise the
-        # component re-indexing that plain domain points never reach
-        dom = Free(Free(A))
-        flat = Free(A)
-        mu = Mu(A)
-        b2 = replace(bud, max_seq_len=min(bud.max_seq_len, 2),
-                     max_points=min(bud.max_points, 800))
-        mors, truncated = enumerate_morphisms(dom, b2)
-        by_src: dict = {}
-        for m in mors:
-            by_src.setdefault(m.source, []).append(m)
-        cap = min(bud.max_points, 800)
-        count = 0
-        for m1 in mors:
-            for m2 in by_src.get(m1.target, ()):
-                if count >= cap:
-                    truncated = True
-                    break
-                count += 1
-                try:
-                    lhs = eval_fun_mor(mu, dom.comp(m2, m1))
-                    rhs = flat.comp(eval_fun_mor(mu, m2),
-                                    eval_fun_mor(mu, m1))
-                    ok = lhs == rhs
-                    note = ""
-                except _EVAL_ERRORS as err:
-                    ok, lhs, rhs = False, None, None
-                    note = f"{type(err).__name__}: {err}"
-                if not ok:
-                    return Report(
-                        kind="fun-equality", passed=False, points=count,
-                        truncated=truncated, phase="composition",
-                        counterexample={"first": repr(m1), "second": repr(m2),
-                                        "left": repr(lhs), "right": repr(rhs),
-                                        "note": note})
-            if count >= cap:
-                break
-        return Report(kind="fun-equality", passed=True, points=count,
-                      truncated=truncated, phase="composition")
-
     return [
-        ("eta-then-mu", lambda: equal_fun(
-            Compose((Eta(Free(A)), Mu(A))), Identity(Free(A)), p)),
-        ("mapped-eta-then-mu", lambda: equal_fun(
-            Compose((ApplyT(Eta(A)), Mu(A))), Identity(Free(A)), p)),
-        ("mu-associativity", lambda: equal_fun(
-            Compose((Mu(Free(A)), Mu(A))),
+        ("eta-then-mu", partial(
+            equal_fun, Compose((Eta(Free(A)), Mu(A))), Identity(Free(A)), p)),
+        ("mapped-eta-then-mu", partial(
+            equal_fun, Compose((ApplyT(Eta(A)), Mu(A))), Identity(Free(A)), p)),
+        ("mu-associativity", partial(
+            equal_fun, Compose((Mu(Free(A)), Mu(A))),
             Compose((ApplyT(Mu(A)), Mu(A))), assoc)),
-        ("eta-naturality", lambda: equal_fun(
-            Compose((fb, Eta(A))), Compose((Eta(A), ApplyT(fb))), p)),
-        ("mu-naturality", lambda: equal_fun(
-            Compose((Mu(A), ApplyT(fb))),
+        ("eta-naturality", partial(
+            equal_fun, Compose((fb, Eta(A))), Compose((Eta(A), ApplyT(fb))), p)),
+        ("mu-naturality", partial(
+            equal_fun, Compose((Mu(A), ApplyT(fb))),
             Compose((ApplyT(ApplyT(fb)), Mu(A))), p)),
-        ("mu-functoriality", mu_functoriality),
+        ("mu-functoriality", partial(_mu_functoriality, A, bud)),
     ]
 
 
@@ -311,23 +312,23 @@ def _strength_laws(ctx: SuiteContext) -> list[Check]:
     checks: list[Check] = []
     for i in (1, 2):
         unit = _at_slot((A, A), i, Eta(A))
-        checks.append((f"unit-slot-{i}", lambda unit=unit, i=i: equal_fun(
-            Compose((unit, Strength((A, A), i))), Eta(P), p)))
+        checks.append((f"unit-slot-{i}", partial(
+            equal_fun, Compose((unit, Strength((A, A), i))), Eta(P), p)))
     for i in (1, 2):
         once = _with_free((A, A), i)
         lhs = Compose((_at_slot(_with_free(once, i), i, Mu(A)), Strength((A, A), i)))
         rhs = Compose((Strength(once, i), ApplyT(Strength((A, A), i)), Mu(P)))
         checks.append((f"mult-slot-{i}",
-                       lambda lhs=lhs, rhs=rhs: equal_fun(
-                           lhs, rhs, _points(bud, 1200))))
+                       partial(equal_fun, lhs, rhs, _points(bud, 1200))))
     nat_l = Compose((prod_map((Free(A), A), (ApplyT(fb), fb)),
                      Strength((A, A), 1)))
     nat_r = Compose((Strength((A, A), 1), ApplyT(prod_map((A, A), (fb, fb)))))
-    checks.append(("naturality", lambda: equal_fun(nat_l, nat_r, p)))
-    checks.append(("row-route", lambda: equal_fun(
-        gamma_source((A, A), 1, 2), Omega((A, A)), p)))
-    checks.append(("column-route", lambda: equal_fun(
-        gamma_source((A, A), 2, 1), omega_sigma_fun((A, A), Perm((2, 1))), p)))
+    checks.append(("naturality", partial(equal_fun, nat_l, nat_r, p)))
+    checks.append(("row-route", partial(
+        equal_fun, gamma_source((A, A), 1, 2), Omega((A, A)), p)))
+    checks.append(("column-route", partial(
+        equal_fun, gamma_source((A, A), 2, 1),
+        omega_sigma_fun((A, A), _SWAP), p)))
     return checks
 
 
@@ -341,7 +342,7 @@ def _strength_laws(ctx: SuiteContext) -> list[Check]:
 @_suite("pseudocomm.axiom3",
         "Interchanging past a bare right slot factors through pairing it"
         " into the second free factor, after flattening.", 3)
-def _grouping_axiom(ctx: SuiteContext, bare: int) -> list[Check]:
+def _grouping_axiom(bare: int, ctx: SuiteContext) -> list[Check]:
     A = ctx.base
     bud = _points(ctx.bud, 1200)
     D = Prod(tuple(A if k == bare else Free(A) for k in (1, 2, 3)))
@@ -357,7 +358,7 @@ def _grouping_axiom(ctx: SuiteContext, bare: int) -> list[Check]:
         rhs = WhiskerR(WhiskerR(_pair_swap(A, D, free),
                                 Strength(_bracketing(A, free), free)),
                        ApplyT(_flatten(A, free)))
-    return [("pasting", lambda: equal_cell(lhs, rhs, bud))]
+    return [("pasting", partial(equal_cell, lhs, rhs, bud))]
 
 
 @_suite("pseudocomm.axiom4",
@@ -366,13 +367,13 @@ def _grouping_axiom(ctx: SuiteContext, bare: int) -> list[Check]:
 @_suite("pseudocomm.axiom5",
         "Precomposing the interchange cell with a singleton insertion in"
         " the second slot is an identity 2-cell.", 2)
-def _unit_axiom(ctx: SuiteContext, slot: int) -> list[Check]:
+def _unit_axiom(slot: int, ctx: SuiteContext) -> list[Check]:
     A = ctx.base
     bud = _points(ctx.bud, 1500)
     emap = _at_slot(_with_free((A, A), 3 - slot), slot, Eta(A))
     lhs = WhiskerL(emap, Gamma((A, A)))
     rhs = IdCell(Compose((emap, gamma_source((A, A), 1, 2))))
-    return [("identity", lambda: equal_cell(lhs, rhs, bud))]
+    return [("identity", partial(equal_cell, lhs, rhs, bud))]
 
 
 @_suite("pseudocomm.axiom6",
@@ -383,7 +384,7 @@ def _unit_axiom(ctx: SuiteContext, slot: int) -> list[Check]:
         "Interchanging after erasing parentheses in the second slot pastes"
         " from the interchange against the doubled slot followed by the"
         " interchange under one free layer.", 2)
-def _mult_axiom(ctx: SuiteContext, slot: int) -> list[Check]:
+def _mult_axiom(slot: int, ctx: SuiteContext) -> list[Check]:
     A = ctx.base
     bud = _points(ctx.bud, 700)
     frees = _frees((A, A))
@@ -394,7 +395,7 @@ def _mult_axiom(ctx: SuiteContext, slot: int) -> list[Check]:
     against = WhiskerR(Gamma(_with_free((A, A), slot)),
                        Compose((ApplyT(Strength((A, A), slot)), Mu(pab))))
     rhs = VComp((under, against) if slot == 1 else (against, under))
-    return [("pasting", lambda: equal_cell(lhs, rhs, bud))]
+    return [("pasting", partial(equal_cell, lhs, rhs, bud))]
 
 
 @_suite("pseudocomm.modification",
@@ -409,7 +410,7 @@ def _modification(ctx: SuiteContext) -> list[Check]:
         lhs = WhiskerL(prod_map((Free(A), Free(B)), (ApplyT(fb), ApplyT(g))),
                        Gamma((A, B)))
         rhs = WhiskerR(Gamma((A, B)), ApplyT(prod_map((A, B), (fb, g))))
-        checks.append((name, lambda lhs=lhs, rhs=rhs: equal_cell(lhs, rhs, bud)))
+        checks.append((name, partial(equal_cell, lhs, rhs, bud)))
     return checks
 
 
@@ -417,10 +418,9 @@ def symmetry_round_trip(base: CatExpr) -> tuple[CellExpr, CellExpr]:
     """The interchange-then-conjugated-transpose composite over ``base``
     and the identity cell it must equal."""
     A = B = base
-    sw = Perm((2, 1))
     FA, FB = Free(A), Free(B)
-    conj = WhiskerR(WhiskerL(Shuffle(Prod((FA, FB)), sw), Gamma((B, A))),
-                    ApplyT(Shuffle(Prod((B, A)), sw)))
+    conj = WhiskerR(WhiskerL(Shuffle(Prod((FA, FB)), _SWAP), Gamma((B, A))),
+                    ApplyT(Shuffle(Prod((B, A)), _SWAP)))
     composite = VComp((Gamma((A, B)), conj))
     return composite, IdCell(gamma_source((A, B), 1, 2))
 
@@ -432,12 +432,11 @@ def symmetry_round_trip(base: CatExpr) -> tuple[CellExpr, CellExpr]:
 def _symmetry(ctx: SuiteContext) -> list[Check]:
     A = B = ctx.base
     bud = _points(ctx.bud, 2500)
-    sw = Perm((2, 1))
     composite, ident = symmetry_round_trip(ctx.base)
     conj = composite.parts[1]
     return [
-        ("round-trip", lambda: equal_cell(composite, ident, bud)),
-        ("transpose-inverse", lambda: equal_cell(GammaInv((A, B)), conj, bud)),
+        ("round-trip", partial(equal_cell, composite, ident, bud)),
+        ("transpose-inverse", partial(equal_cell, GammaInv((A, B)), conj, bud)),
     ]
 
 
@@ -452,9 +451,14 @@ def _partition_independence(ctx: SuiteContext) -> list[Check]:
         for i, j in itertools.combinations(range(1, n + 1), 2):
             for part in partitions_for(n, i, j):
                 name = "n%d(%d,%d)@%d%d%d" % (n, i, j, *part)
-                checks.append((name, lambda slots=slots, i=i, j=j, part=part, p=p:
-                               equal_cell(Gamma(slots, i, j, part), Gamma(slots, i, j), p)))
+                checks.append((name, partial(equal_cell, Gamma(slots, i, j, part),
+                                             Gamma(slots, i, j), p)))
     return checks
+
+
+def _first_constraint_identity(w) -> Report:
+    return _fact(isinstance(w.constraints[0], IdCell),
+                 "slot-1 constraint is literally an identity 2-cell")
 
 
 @_suite("omega.two",
@@ -464,24 +468,26 @@ def _partition_independence(ctx: SuiteContext) -> list[Check]:
 def _omega_two(ctx: SuiteContext) -> list[Check]:
     A = B = ctx.base
     bud = ctx.bud
-    sw = Perm((2, 1))
     FA, FB = Free(A), Free(B)
     pab = Prod((A, B))
     w = omega_cell((A, B))
     cell_a = WhiskerL(Strength((FA, FB), 2),
                       WhiskerR(ApplyTCell(Gamma((A, B))), Mu(pab)))
-    pre = Compose((_at_slot((FA, Free(FB)), 2, Mu(B)), Shuffle(Prod((FA, FB)), sw)))
+    pre = Compose((_at_slot((FA, Free(FB)), 2, Mu(B)), Shuffle(Prod((FA, FB)), _SWAP)))
     cell_b = WhiskerL(pre, WhiskerR(Gamma((B, A)),
-                                    ApplyT(Shuffle(Prod((B, A)), sw))))
+                                    ApplyT(Shuffle(Prod((B, A)), _SWAP))))
     return [
-        ("composite", lambda: equal_fun(
-            w.underlying, gamma_source((A, B), 1, 2), _points(bud, 2000))),
-        ("first-constraint-identity", lambda: _fact(
-            isinstance(w.constraints[0], IdCell),
-            "slot-1 constraint is literally an identity 2-cell")),
-        ("second-constraint", lambda: equal_cell(
-            VComp((cell_a, cell_b)), w.constraints[1], _points(bud, 700))),
+        ("composite", partial(
+            equal_fun, w.underlying, gamma_source((A, B), 1, 2), _points(bud, 2000))),
+        ("first-constraint-identity", partial(_first_constraint_identity, w)),
+        ("second-constraint", partial(
+            equal_cell, VComp((cell_a, cell_b)), w.constraints[1], _points(bud, 700))),
     ]
+
+
+def _onecell_of(make, arg, bud: Budget) -> Report:
+    """validate_onecell of the cell make(arg), built when the check runs."""
+    return validate_onecell(make(arg), bud)
 
 
 @_suite("omega.onecell",
@@ -491,9 +497,9 @@ def _omega_two(ctx: SuiteContext) -> list[Check]:
 def _omega_onecell(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
     return [
-        ("binary", lambda: validate_onecell(omega_cell((A, A)), _points(bud, 250))),
-        ("ternary", lambda: validate_onecell(
-            omega_cell((A, A, A)), _points(_seq(bud, 2), 100))),
+        ("binary", partial(_onecell_of, omega_cell, (A, A), _points(bud, 250))),
+        ("ternary", partial(
+            _onecell_of, omega_cell, (A, A, A), _points(_seq(bud, 2), 100))),
     ]
 
 
@@ -514,8 +520,8 @@ def _omega_associativity(ctx: SuiteContext) -> list[Check]:
                       [identity_cell(FreeAlg(A)), omega_cell((A, A))]),
         _flatten(A, 2))
     return [
-        ("left-grouping", lambda: multicell_equal(left, direct, p)),
-        ("right-grouping", lambda: multicell_equal(right, direct, p)),
+        ("left-grouping", partial(multicell_equal, left, direct, p)),
+        ("right-grouping", partial(multicell_equal, right, direct, p)),
     ]
 
 
@@ -540,9 +546,26 @@ def _omega_naturality(ctx: SuiteContext) -> list[Check]:
     pm = TupleCell((WhiskerL(Proj(PX, 1), a1), WhiskerL(Proj(PX, 2), a2)))
     rhs2 = WhiskerL(Omega((X1, A)), ApplyTCell(pm))
     return [
-        ("functors", lambda: equal_fun(lhsf, rhsf, _points(bud, 1000))),
-        ("two-cells", lambda: equal_cell(lhs2, rhs2, _points(bud, 400))),
+        ("functors", partial(equal_fun, lhsf, rhsf, _points(bud, 1000))),
+        ("two-cells", partial(equal_cell, lhs2, rhs2, _points(bud, 400))),
     ]
+
+
+def _unary_wrapper(A: CatExpr) -> Report:
+    return _fact(free_multi(Identity(Prod((A,)))) == omega_cell((A,)),
+                 "the unary walk is the free image of the identity")
+
+
+def _recursive_walk(A: CatExpr, n: int, bud: Budget) -> Report:
+    """The n-ary walk against the binary walk over the (n-1)-ary walk and
+    the unary wrapper, pushed along the unwrapping of the grouped product."""
+    head, wrap = Prod((A,) * (n - 1)), Prod((A,))
+    dom = Prod((head, wrap))
+    st = Tuple(tuple(Compose((Proj(dom, 1), Proj(head, k))) for k in range(1, n))
+               + (Compose((Proj(dom, 2), Proj(wrap, 1))),))
+    rec = gamma_compose(omega_cell((head, wrap)),
+                        [omega_cell((A,) * (n - 1)), omega_cell((A,))])
+    return multicell_equal(postcompose_free(rec, st), omega_cell((A,) * n), bud)
 
 
 @_suite("omega.recursion",
@@ -551,27 +574,17 @@ def _omega_naturality(ctx: SuiteContext) -> list[Check]:
         " grouped product.")
 def _omega_recursion(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
-    wrap = Prod((A,))
-
-    def grouped(head_n: int) -> tuple:
-        head = Prod((A,) * head_n)
-        dom = Prod((head, wrap))
-        st = Tuple(tuple(Compose((Proj(dom, 1), Proj(head, k)))
-                         for k in range(1, head_n + 1))
-                   + (Compose((Proj(dom, 2), Proj(wrap, 1))),))
-        rec = gamma_compose(omega_cell((head, wrap)),
-                            [omega_cell((A,) * head_n), omega_cell((A,))])
-        return postcompose_free(rec, st)
-
     return [
-        ("unary-wrapper", lambda: _fact(
-            free_multi(Identity(Prod((A,)))) == omega_cell((A,)),
-            "the unary walk is the free image of the identity")),
-        ("three-slots", lambda: multicell_equal(
-            grouped(2), omega_cell((A, A, A)), _points(bud, 150))),
-        ("four-slots", lambda: multicell_equal(
-            grouped(3), omega_cell((A, A, A, A)), _points(_seq(bud, 2), 80))),
+        ("unary-wrapper", partial(_unary_wrapper, A)),
+        ("three-slots", partial(_recursive_walk, A, 3, _points(bud, 150))),
+        ("four-slots", partial(_recursive_walk, A, 4, _points(_seq(bud, 2), 80))),
     ]
+
+
+def _free_image_of_composite(b: CatExpr, f, sizes, gs, bud: Budget) -> Report:
+    direct = free_multi(_composite(b, sizes, gs, f))
+    pieced = gamma_compose(free_multi(f), [free_multi(g) for g in gs])
+    return multicell_equal(direct, pieced, bud)
 
 
 @_suite("multifunctor.laws",
@@ -586,32 +599,27 @@ def _multifunctor(ctx: SuiteContext) -> list[Check]:
     U, B2 = Prod((b,)), Prod((b, b))
     u_pool = [Proj(U, 1), Compose((Proj(U, 1), fb)), Const(U, b, obj0)]
     d_pool = [Proj(B2, 1), Proj(B2, 2), Compose((Proj(B2, 1), fb))]
-    f_pool = [Identity(B2), Shuffle(B2, Perm((2, 1))),
+    f_pool = [Identity(B2), Shuffle(B2, _SWAP),
               Tuple((Proj(B2, 1), Proj(B2, 1))),
               prod_map((b, b), (fb, Identity(b))),
               Const(B2, Prod(()), ())]
-    combos = []
-    for fi, f in enumerate(f_pool):
-        for s1, s2 in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            pool1 = u_pool if s1 == 1 else d_pool
-            pool2 = u_pool if s2 == 1 else d_pool
-            for g1i, g1 in enumerate(pool1):
-                for g2i, g2 in enumerate(pool2):
-                    tag = f"f{fi}s{s1}{s2}g{g1i}{g2i}"
-                    combos.append((tag, f, (s1, s2), (g1, g2)))
+    pools = {1: u_pool, 2: d_pool}
+    combos = [(f"f{fi}s{s1}{s2}g{g1i}{g2i}", f, (s1, s2), (g1, g2))
+              for fi, f in enumerate(f_pool)
+              for s1, s2 in ((1, 1), (1, 2), (2, 1), (2, 2))
+              for g1i, g1 in enumerate(pools[s1])
+              for g2i, g2 in enumerate(pools[s2])]
     rng = random.Random(bud.seed)
     forced = [c for c in combos if c[0] in ("f0s11g00", "f4s12g20")]
     rest = [c for c in combos if c not in forced]
     picked = forced + rng.sample(rest, 50)
     p = _points(_seq(bud, 2), 30)
-
-    def one(f, sizes, gs):
-        direct = free_multi(_composite(b, sizes, gs, f))
-        pieced = gamma_compose(free_multi(f), [free_multi(g) for g in gs])
-        return multicell_equal(direct, pieced, p)
-
-    return [(tag, lambda f=f, sizes=sizes, gs=gs: one(f, sizes, gs))
+    return [(tag, partial(_free_image_of_composite, b, f, sizes, gs, p))
             for tag, f, sizes, gs in picked]
+
+
+def _identity_word(f, c, bud: Budget) -> Report:
+    return equal_cell(c.component, IdCell(free_multi(f).underlying), bud)
 
 
 @_suite("pseudosym.unit",
@@ -622,11 +630,17 @@ def _pseudosym_unit(ctx: SuiteContext) -> list[Check]:
     f = Identity(Prod((b, b)))
     c = pseudo_sym(f, perms.identity(2))
     return [
-        ("identity-word", lambda: equal_cell(
-            c.component, IdCell(free_multi(f).underlying), _points(bud, 600))),
-        ("endpoints-coincide", lambda: multicell_equal(
-            c.source, c.target, _points(bud, 300))),
+        ("identity-word", partial(_identity_word, f, c, _points(bud, 600))),
+        ("endpoints-coincide", partial(
+            multicell_equal, c.source, c.target, _points(bud, 300))),
     ]
+
+
+def _reordering_product(f, sig: Perm, tau: Perm, bud: Budget) -> Report:
+    lhs = pseudo_sym(f, perms.compose(sig, tau)).component
+    first = pseudo_sym(_with_perm(f, sig), tau).component
+    second = sigma_act_cell(pseudo_sym(f, sig), tau).component
+    return equal_cell(lhs, VComp((first, second)), bud)
 
 
 @_suite("pseudosym.product",
@@ -639,18 +653,14 @@ def _pseudosym_product(ctx: SuiteContext) -> list[Check]:
     p = _points(bud, 400)
     checks: list[Check] = []
     for sig, tau in ((s1, s2), (s2, s1), (s1, s1), (s2, s2)):
-        prod = perms.compose(sig, tau)
-        name = "s%s.t%s" % ("".join(map(str, sig.images)),
-                            "".join(map(str, tau.images)))
-
-        def thunk(sig=sig, tau=tau, prod=prod):
-            lhs = pseudo_sym(f, prod).component
-            first = pseudo_sym(_with_perm(f, sig), tau).component
-            second = sigma_act_cell(pseudo_sym(f, sig), tau).component
-            return equal_cell(lhs, VComp((first, second)), p)
-
-        checks.append((name, thunk))
+        name = "s%s.t%s" % ("".join(map(str, sig.images)), "".join(map(str, tau.images)))
+        checks.append((name, partial(_reordering_product, f, sig, tau, p)))
     return checks
+
+
+def _same_reordering(f, sigma: Perm, w1, w2, bud: Budget) -> Report:
+    return equal_cell(pseudo_sym(f, sigma, w1).component,
+                      pseudo_sym(f, sigma, w2).component, bud)
 
 
 @_suite("pseudosym.word-independence",
@@ -664,8 +674,7 @@ def _pseudosym_words(ctx: SuiteContext) -> list[Check]:
         first, *rest = sorted(reduced_words(rev))
         for w in rest:
             name = "n%d:%s~%s" % (n, "".join(map(str, w)), "".join(map(str, first)))
-            checks.append((name, lambda f=f, rev=rev, w=w, first=first, p=p: equal_cell(
-                pseudo_sym(f, rev, w).component, pseudo_sym(f, rev, first).component, p)))
+            checks.append((name, partial(_same_reordering, f, rev, w, first, p)))
     return checks
 
 
@@ -680,18 +689,12 @@ def _block_reordering(b: CatExpr, sizes: Sequence[int], outer: Perm, inner):
 
 def _top_equivariance_check(b: CatExpr, sizes: Sequence[int], sig: Perm,
                             bud: Budget) -> Report:
-    n = len(sizes)
-    f, gs, lhs, DP = _block_reordering(
-        b, sizes, sig, [perms.identity(sizes[sig(l) - 1]) for l in range(1, n + 1)])
-    parts = []
-    pos = 1
-    for l in range(1, n + 1):
-        j = sig(l)
-        k = sizes[j - 1]
-        sel = _span(DP, pos, pos + k - 1)
-        parts.append(Compose((sel, Omega((b,) * k), ApplyT(gs[j - 1]))))
-        pos += k
-    rhs = WhiskerL(Tuple(tuple(parts)), pseudo_sym(f, sig).component)
+    order = [sig(l) for l in range(1, len(sizes) + 1)]
+    ks = [sizes[j - 1] for j in order]
+    f, gs, lhs, DP = _block_reordering(b, sizes, sig, [perms.identity(k) for k in ks])
+    parts = tuple(Compose((_span(DP, lo, hi), Omega((b,) * k), ApplyT(gs[j - 1])))
+                  for j, k, (lo, hi) in zip(order, ks, _block_bounds(ks)))
+    rhs = WhiskerL(Tuple(parts), pseudo_sym(f, sig).component)
     return equal_cell(lhs, rhs, bud)
 
 
@@ -700,14 +703,12 @@ def _top_equivariance_check(b: CatExpr, sizes: Sequence[int], sig: Perm,
         " cell whiskered by the permuted block images.")
 def _pseudosym_top(ctx: SuiteContext) -> list[Check]:
     b, bud = ctx.base, ctx.bud
-    sw = Perm((2, 1))
     p = _points(bud, 250)
-    p3 = _points(_seq(bud, 2), 100)
     return [
-        ("blocks-21", lambda: _top_equivariance_check(b, (2, 1), sw, p)),
-        ("blocks-12", lambda: _top_equivariance_check(b, (1, 2), sw, p)),
-        ("blocks-112", lambda: _top_equivariance_check(
-            b, (1, 1, 2), transposition(3, 2), p3)),
+        ("blocks-21", partial(_top_equivariance_check, b, (2, 1), _SWAP, p)),
+        ("blocks-12", partial(_top_equivariance_check, b, (1, 2), _SWAP, p)),
+        ("blocks-112", partial(_top_equivariance_check, b, (1, 1, 2), transposition(3, 2),
+                               _points(_seq(bud, 2), 100))),
     ]
 
 
@@ -717,17 +718,11 @@ def _bottom_equivariance_check(b: CatExpr, sizes: Sequence[int], l: int,
     f, gs, lhs, DP = _block_reordering(
         b, sizes, perms.identity(n),
         [tau if t == l else perms.identity(sizes[t - 1]) for t in range(1, n + 1)])
-    bounds = _block_bounds(sizes)
     parts = []
-    for t in range(1, n + 1):
-        lo, hi = bounds[t - 1]
+    for t, ((lo, hi), k, g) in enumerate(zip(_block_bounds(sizes), sizes, gs), 1):
         sel = _span(DP, lo, hi)
-        if t == l:
-            parts.append(WhiskerL(sel, pseudo_sym(gs[t - 1], tau).component))
-        else:
-            k = sizes[t - 1]
-            parts.append(IdCell(Compose((sel, Omega((b,) * k),
-                                         ApplyT(gs[t - 1])))))
+        parts.append(WhiskerL(sel, pseudo_sym(g, tau).component) if t == l
+                     else IdCell(Compose((sel, Omega((b,) * k), ApplyT(g)))))
     rhs = WhiskerR(TupleCell(tuple(parts)),
                    Compose((Omega(f.cat.factors), ApplyT(f))))
     return equal_cell(lhs, rhs, bud)
@@ -739,13 +734,12 @@ def _bottom_equivariance_check(b: CatExpr, sizes: Sequence[int], l: int,
         " outer free image.")
 def _pseudosym_bottom(ctx: SuiteContext) -> list[Check]:
     b, bud = ctx.base, ctx.bud
-    sw = Perm((2, 1))
     p = _points(bud, 250)
-    p4 = _points(_seq(bud, 2), 100)
     return [
-        ("block1-of-21", lambda: _bottom_equivariance_check(b, (2, 1), 1, sw, p)),
-        ("block2-of-12", lambda: _bottom_equivariance_check(b, (1, 2), 2, sw, p)),
-        ("block2-of-22", lambda: _bottom_equivariance_check(b, (2, 2), 2, sw, p4)),
+        ("block1-of-21", partial(_bottom_equivariance_check, b, (2, 1), 1, _SWAP, p)),
+        ("block2-of-12", partial(_bottom_equivariance_check, b, (1, 2), 2, _SWAP, p)),
+        ("block2-of-22", partial(_bottom_equivariance_check, b, (2, 2), 2, _SWAP,
+                                 _points(_seq(bud, 2), 100))),
     ]
 
 
@@ -760,18 +754,16 @@ def _yangbaxter_disjoint(ctx: SuiteContext) -> list[Check]:
     c_34_12 = _swap_chain(inners, (3, 1))
     D4 = Prod(_frees(inners))
     paa = Prod((A, A))
-    g12 = WhiskerL(Tuple((Proj(D4, 1), Proj(D4, 2))), Gamma((A, A)))
-    g34 = WhiskerL(Tuple((Proj(D4, 3), Proj(D4, 4))), Gamma((A, A)))
+    g12 = WhiskerL(_span(D4, 1, 2), Gamma((A, A)))
+    g34 = WhiskerL(_span(D4, 3, 4), Gamma((A, A)))
     dom2 = Prod((paa, paa))
-    flatten = Tuple((Compose((Proj(dom2, 1), Proj(paa, 1))),
-                     Compose((Proj(dom2, 1), Proj(paa, 2))),
-                     Compose((Proj(dom2, 2), Proj(paa, 1))),
-                     Compose((Proj(dom2, 2), Proj(paa, 2)))))
+    flatten = Tuple(tuple(Compose((Proj(dom2, i), Proj(paa, k)))
+                          for i in (1, 2) for k in (1, 2)))
     grouped = WhiskerR(TupleCell((g12, g34)),
                        Compose((Omega((paa, paa)), ApplyT(flatten))))
     return [
-        ("commute", lambda: equal_cell(c_12_34, c_34_12, p)),
-        ("factor", lambda: equal_cell(c_12_34, grouped, p)),
+        ("commute", partial(equal_cell, c_12_34, c_34_12, p)),
+        ("factor", partial(equal_cell, c_12_34, grouped, p)),
     ]
 
 
@@ -783,7 +775,7 @@ def _yangbaxter_disjoint(ctx: SuiteContext) -> list[Check]:
         "The three-step swap chain starting on the left pastes to the"
         " grouped interchange on the other bracketing: swapping inside the"
         " grouped pair, then interchanging it against the last slot.", 1)
-def _yangbaxter_grouped(ctx: SuiteContext, lo: int) -> list[Check]:
+def _yangbaxter_grouped(lo: int, ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
     D = Prod(_frees((A, A, A)))
     chain = _swap_chain((A, A, A), (lo, 3 - lo, lo))
@@ -791,7 +783,7 @@ def _yangbaxter_grouped(ctx: SuiteContext, lo: int) -> list[Check]:
                     Compose((Omega(_bracketing(A, lo)), ApplyT(_flatten(A, lo)))))
     rest = _against_pair(A, D, lo, gamma_source((A, A), 2, 1))
     p = _points(bud, 500)
-    return [("grouped", lambda: equal_cell(chain, VComp((swap, rest)), p))]
+    return [("grouped", partial(equal_cell, chain, VComp((swap, rest)), p))]
 
 
 @_suite("yangbaxter.3",
@@ -802,7 +794,7 @@ def _yangbaxter3(ctx: SuiteContext) -> list[Check]:
     chain121 = _swap_chain((A, A, A), (1, 2, 1))
     chain212 = _swap_chain((A, A, A), (2, 1, 2))
     p = _points(bud, 500)
-    return [("braid", lambda: equal_cell(chain121, chain212, p))]
+    return [("braid", partial(equal_cell, chain121, chain212, p))]
 
 
 @_suite("newlemma.1",
@@ -812,12 +804,51 @@ def _yangbaxter3(ctx: SuiteContext) -> list[Check]:
 @_suite("newlemma.2",
         "Two swap steps moving the last slot leftward paste to the"
         " interchange of the grouped leading pair against the last slot.", 1)
-def _newlemma(ctx: SuiteContext, lo: int) -> list[Check]:
+def _newlemma(lo: int, ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
     p = _points(bud, 500)
     lhs = _swap_chain((A, A, A), (3 - lo, lo))
     rhs = _against_pair(A, Prod(_frees((A, A, A))), lo, Omega((A, A)))
-    return [("grouped", lambda: equal_cell(lhs, rhs, p))]
+    return [("grouped", partial(equal_cell, lhs, rhs, p))]
+
+
+def _maximal_chains(A: CatExpr, n: int) -> list:
+    """(word, chain) for each reduced word of the reversal of n slots, in
+    sorted order: the cover cells of ``bruhat_omega`` along the word."""
+    data = bruhat_omega((A,) * n)
+    out = []
+    for word in sorted(reduced_words(perms.reversal(n))):
+        cells, p0 = [], perms.identity(n)
+        for i in word:
+            cells.append(data["covers"][(p0, i)])
+            p0 = perms.compose(p0, transposition(n, i))
+        out.append((word, VComp(tuple(cells))))
+    return out
+
+
+def _cover_endpoints(A: CatExpr, bud: Budget) -> Report:
+    data = bruhat_omega((A, A, A))
+    named = []
+    for _, i, p0 in sorted((p0.images, i, p0) for p0, i in data["covers"]):
+        src, tgt = cell_endpoints(data["covers"][(p0, i)])
+        after = perms.compose(p0, transposition(3, i))
+        tag = "".join(map(str, p0.images)) + "+s%d" % i
+        named.append((tag + ".src", equal_fun(src, data["objects"][p0], bud)))
+        named.append((tag + ".tgt", equal_fun(tgt, data["objects"][after], bud)))
+    return bundle(named)
+
+
+def _maximal_chains_3(A: CatExpr, bud: Budget) -> Report:
+    (_, first), (_, second) = _maximal_chains(A, 3)
+    return equal_cell(first, second, bud)
+
+
+def _maximal_chains_4(A: CatExpr, bud: Budget) -> Report:
+    # all maximal chains agree pairwise; each is compared against the
+    # first, which settles every pair by transitivity
+    (_, base), *rest = _maximal_chains(A, 4)
+    return bundle([("".join(map(str, w)), equal_cell(chain, base, bud))
+                   for w, chain in rest])
 
 
 @_suite("bruhat.path-independence",
@@ -827,54 +858,59 @@ def _newlemma(ctx: SuiteContext, lo: int) -> list[Check]:
         " walks.")
 def _bruhat(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
-
-    def chain(data, n, word):
-        cells = []
-        p0 = perms.identity(n)
-        for i in word:
-            cells.append(data["covers"][(p0, i)])
-            p0 = perms.compose(p0, transposition(n, i))
-        return VComp(tuple(cells))
-
-    def endpoints():
-        data = bruhat_omega((A, A, A))
-        pe = _points(bud, 300)
-        named = []
-        for (p0, i), cell in sorted(data["covers"].items(),
-                                    key=lambda kv: (kv[0][0].images, kv[0][1])):
-            src, tgt = cell_endpoints(cell)
-            after = perms.compose(p0, transposition(3, i))
-            tag = "".join(map(str, p0.images)) + "+s%d" % i
-            named.append((tag + ".src",
-                          equal_fun(src, data["objects"][p0], pe)))
-            named.append((tag + ".tgt",
-                          equal_fun(tgt, data["objects"][after], pe)))
-        return bundle(named)
-
-    def chains3():
-        data = bruhat_omega((A, A, A))
-        words = sorted(reduced_words(Perm((3, 2, 1))))
-        return equal_cell(chain(data, 3, words[0]), chain(data, 3, words[1]),
-                          _points(bud, 500))
-
-    def chains4():
-        # all maximal chains agree pairwise; each is compared against the
-        # first, which settles every pair by transitivity
-        data = bruhat_omega((A, A, A, A))
-        words = sorted(reduced_words(Perm((4, 3, 2, 1))))
-        base = chain(data, 4, words[0])
-        p4 = _points(_seq(bud, 2), 50)
-        named = []
-        for w in words[1:]:
-            tag = "".join(map(str, w))
-            named.append((tag, equal_cell(chain(data, 4, w), base, p4)))
-        return bundle(named)
-
     return [
-        ("maximal-chains-3", chains3),
-        ("maximal-chains-4", chains4),
-        ("cover-endpoints", endpoints),
+        ("maximal-chains-3", partial(_maximal_chains_3, A, _points(bud, 500))),
+        ("maximal-chains-4", partial(_maximal_chains_4, A, _points(_seq(bud, 2), 50))),
+        ("cover-endpoints", partial(_cover_endpoints, A, _points(bud, 300))),
     ]
+
+
+def _operad_associativity() -> Report:
+    pool = {1: all_perms(1), 2: all_perms(2)}
+    count = 0
+    for s in all_perms(2):
+        for k1, k2 in ((1, 2), (2, 1), (2, 2)):
+            for t1 in pool[k1]:
+                for t2 in pool[k2]:
+                    rs = [pool[m] for m in ([1, 2] * 2)[: k1 + k2]]
+                    for combo in itertools.product(*rs):
+                        count += 1
+                        lhs = block(block(s, [t1, t2]), list(combo))
+                        rhs = block(s, [block(t1, list(combo[:k1])),
+                                        block(t2, list(combo[k1:]))])
+                        if lhs != rhs:
+                            return _fact(False, f"associativity broke at {s}, "
+                                                f"{(t1, t2)}, {combo}")
+    return _fact(True, "", count)
+
+
+def _operad_units() -> Report:
+    count = 0
+    for n in (1, 2, 3):
+        for s in all_perms(n):
+            count += 2
+            if block(perms.identity(1), [s]) != s:
+                return _fact(False, f"left unit broke at {s}")
+            if block(s, [perms.identity(1)] * n) != s:
+                return _fact(False, f"right unit broke at {s}")
+    return _fact(True, "", count)
+
+
+def _operad_equivariance() -> Report:
+    count = 0
+    for s in all_perms(2):
+        for pi in all_perms(2):
+            for t1 in all_perms(2):
+                for t2 in all_perms(1) + all_perms(2):
+                    count += 1
+                    ts = [t1, t2]
+                    rearranged = [ts[pi(l) - 1] for l in (1, 2)]
+                    ids = [perms.identity(t.degree) for t in rearranged]
+                    lhs = block(perms.compose(s, pi), rearranged)
+                    rhs = perms.compose(block(s, ts), block(pi, ids))
+                    if lhs != rhs:
+                        return _fact(False, f"equivariance broke at {s}, {pi}, {ts}")
+    return _fact(True, "", count)
 
 
 @_suite("esigma.operad",
@@ -883,59 +919,13 @@ def _bruhat(ctx: SuiteContext) -> list[Check]:
         " symmetric group actions.")
 def _esigma(ctx: SuiteContext) -> list[Check]:
     del ctx  # pure permutation identities need no fixtures
+    return [("associativity", partial(_operad_associativity)),
+            ("units", partial(_operad_units)),
+            ("equivariance", partial(_operad_equivariance))]
 
-    def assoc():
-        pool = {1: all_perms(1), 2: all_perms(2)}
-        count = 0
-        for s in all_perms(2):
-            for k1, k2 in ((1, 2), (2, 1), (2, 2)):
-                for t1 in pool[k1]:
-                    for t2 in pool[k2]:
-                        rs = [list(pool[1] if m == 1 else pool[2])
-                              for m in ([1, 2] * 2)[: k1 + k2]]
-                        for combo in itertools.product(*rs):
-                            count += 1
-                            outer = block(s, [t1, t2])
-                            lhs = block(outer, list(combo))
-                            rhs = block(s, [block(t1, list(combo[:k1])),
-                                            block(t2, list(combo[k1:]))])
-                            if lhs != rhs:
-                                return _fact(False,
-                                             f"associativity broke at {s}, "
-                                             f"{(t1, t2)}, {combo}")
-        return _fact(True, "", count)
 
-    def units():
-        count = 0
-        for n in (1, 2, 3):
-            for s in all_perms(n):
-                count += 2
-                if block(perms.identity(1), [s]) != s:
-                    return _fact(False, f"left unit broke at {s}")
-                if block(s, [perms.identity(1)] * n) != s:
-                    return _fact(False, f"right unit broke at {s}")
-        return _fact(True, "", count)
-
-    def equivariance():
-        count = 0
-        for s in all_perms(2):
-            for pi in all_perms(2):
-                for t1 in all_perms(2):
-                    for t2 in all_perms(1) + all_perms(2):
-                        count += 1
-                        ts = [t1, t2]
-                        rearranged = [ts[pi(l) - 1] for l in (1, 2)]
-                        ids = [perms.identity(ts[pi(l) - 1].degree)
-                               for l in (1, 2)]
-                        lhs = block(perms.compose(s, pi), rearranged)
-                        rhs = perms.compose(block(s, ts), block(pi, ids))
-                        if lhs != rhs:
-                            return _fact(False,
-                                         f"equivariance broke at {s}, {pi}, {ts}")
-        return _fact(True, "", count)
-
-    return [("associativity", assoc), ("units", units),
-            ("equivariance", equivariance)]
+def _phi_walk(f, sig: Perm, walk, bud: Budget) -> Report:
+    return equal_fun(phi_T(f, perms.invert(sig)).underlying, walk, bud)
 
 
 @_suite("phi.omega-sigma",
@@ -949,10 +939,33 @@ def _phi_omega_sigma(ctx: SuiteContext) -> list[Check]:
     checks: list[Check] = []
     for sig in all_perms(3):
         name = "sigma" + "".join(map(str, sig.images))
-        checks.append((name, lambda sig=sig: equal_fun(
-            phi_T(f, perms.invert(sig)).underlying,
-            omega_sigma_fun((b, b, b), sig), p)))
+        checks.append((name, partial(
+            _phi_walk, f, sig, omega_sigma_fun((b, b, b), sig), p)))
     return checks
+
+
+def _phi_action(f, bud: Budget) -> Report:
+    named = []
+    for rho in (perms.identity(2), _SWAP):
+        for sig in (perms.identity(2), _SWAP):
+            lhs = phi_T(_with_perm(f, rho), perms.compose(sig, rho))
+            rhs = sigma_act(phi_T(f, sig), rho)
+            tag = "%s.%s" % ("".join(map(str, sig.images)), "".join(map(str, rho.images)))
+            named.append((tag, multicell_equal(lhs, rhs, bud)))
+    return bundle(named)
+
+
+def _phi_cells(f, bud: Budget) -> Report:
+    named = []
+    for sig, tau in ((perms.identity(2), _SWAP), (_SWAP, perms.identity(2)),
+                     (_SWAP, _SWAP)):
+        c = phi_T_cell(f, sig, tau)
+        tag = "%s>%s" % ("".join(map(str, sig.images)), "".join(map(str, tau.images)))
+        ok = c.source == phi_T(f, sig) and c.target == phi_T(f, tau)
+        named.append((tag + ".boundary",
+                      _fact(ok, "connecting cell runs between the images")))
+        named.append((tag, validate_twocell(c, bud)))
+    return bundle(named)
 
 
 @_suite("phi.symmetric-action",
@@ -960,38 +973,44 @@ def _phi_omega_sigma(ctx: SuiteContext) -> list[Check]:
         " on the functor and the permutation together matches acting on"
         " the image, and the connecting 2-cells have the stated"
         " boundaries.")
-def _phi_action(ctx: SuiteContext) -> list[Check]:
+def _phi_symmetric_action(ctx: SuiteContext) -> list[Check]:
     b, bud = ctx.base, ctx.bud
-    sw = Perm((2, 1))
     f = Identity(Prod((b, b)))
-    p = _points(bud, 150)
+    return [("functorial-action", partial(_phi_action, f, _points(bud, 150))),
+            ("connecting-cells", partial(_phi_cells, f, _points(bud, 100)))]
 
-    def action():
-        named = []
-        for rho in (perms.identity(2), sw):
-            for sig in (perms.identity(2), sw):
-                fr = _with_perm(f, rho)
-                lhs = phi_T(fr, perms.compose(sig, rho))
-                rhs = sigma_act(phi_T(f, sig), rho)
-                tag = "".join(map(str, sig.images)) + "." + \
-                      "".join(map(str, rho.images))
-                named.append((tag, multicell_equal(lhs, rhs, p)))
-        return bundle(named)
 
-    def cells():
-        named = []
-        for sig, tau in ((perms.identity(2), sw), (sw, perms.identity(2)),
-                         (sw, sw)):
-            c = phi_T_cell(f, sig, tau)
-            tag = "".join(map(str, sig.images)) + ">" + \
-                  "".join(map(str, tau.images))
-            ok = c.source == phi_T(f, sig) and c.target == phi_T(f, tau)
-            named.append((tag + ".boundary",
-                          _fact(ok, "connecting cell runs between the images")))
-            named.append((tag, validate_twocell(c, _points(bud, 100))))
-        return bundle(named)
+def _multicat_associativity(f, g1, g2, comp, h, bud: Budget) -> Report:
+    return multicell_equal(
+        gamma_compose(comp, [h, h, h]),
+        gamma_compose(f, [gamma_compose(g1, [h, h]), gamma_compose(g2, [h])]), bud)
 
-    return [("functorial-action", action), ("connecting-cells", cells)]
+
+def _unit_left(f, bud: Budget) -> Report:
+    return multicell_equal(gamma_compose(identity_cell(f.output), [f]), f, bud)
+
+
+def _unit_right(f, bud: Budget) -> Report:
+    return multicell_equal(
+        gamma_compose(f, [identity_cell(a) for a in f.inputs]), f, bud)
+
+
+def _action_functorial(m, s: Perm, t: Perm, bud: Budget) -> Report:
+    return multicell_equal(sigma_act(sigma_act(m, s), t),
+                           sigma_act(m, perms.compose(s, t)), bud)
+
+
+def _action_identity(m) -> Report:
+    return _fact(sigma_act(m, perms.identity(m.arity)) is m,
+                 "acting by the identity returns the cell unchanged")
+
+
+def _composition_equivariance(f, gs, comp, sigma: Perm, taus, bud: Budget) -> Report:
+    """Composing with the blocks permuted by sigma, block l acted on by
+    taus[l-1], against acting on the composite by block(sigma, taus)."""
+    blocks = [sigma_act(gs[sigma(l) - 1], tau) for l, tau in enumerate(taus, 1)]
+    return multicell_equal(gamma_compose(sigma_act(f, sigma), blocks),
+                           sigma_act(comp, block(sigma, list(taus))), bud)
 
 
 @_suite("multicat.laws",
@@ -1000,42 +1019,58 @@ def _phi_action(ctx: SuiteContext) -> list[Check]:
         " on top and bottom.")
 def _multicat(ctx: SuiteContext) -> list[Check]:
     b, bud = ctx.base, ctx.bud
-    sw = Perm((2, 1))
-    paa = Prod((b, b))
-    f = omega_cell((paa, b))
+    f = omega_cell((Prod((b, b)), b))
     g1 = omega_cell((b, b))
     g2 = identity_cell(FreeAlg(b))
     comp = gamma_compose(f, [g1, g2])
     h = free_multi(Proj(Prod((b,)), 1))
     p = _points(bud, 150)
     ps = _points(bud, 100)
-    s, t = Perm((2, 3, 1)), Perm((2, 1, 3))
     m3 = omega_cell((b, b, b))
     return [
-        ("associativity", lambda: multicell_equal(
-            gamma_compose(comp, [h, h, h]),
-            gamma_compose(f, [gamma_compose(g1, [h, h]),
-                              gamma_compose(g2, [h])]), ps)),
-        ("unit-left", lambda: multicell_equal(
-            gamma_compose(identity_cell(f.output), [f]), f, p)),
-        ("unit-right", lambda: multicell_equal(
-            gamma_compose(f, [identity_cell(a) for a in
-                              (FreeAlg(paa), FreeAlg(b))]), f, p)),
-        ("action-functorial", lambda: multicell_equal(
-            sigma_act(sigma_act(m3, s), t),
-            sigma_act(m3, perms.compose(s, t)), ps)),
-        ("action-identity", lambda: _fact(
-            sigma_act(m3, perms.identity(3)) is m3,
-            "acting by the identity returns the cell unchanged")),
-        ("top-equivariance", lambda: multicell_equal(
-            gamma_compose(sigma_act(f, sw), [g2, g1]),
-            sigma_act(comp, block(sw, [perms.identity(1),
-                                       perms.identity(2)])), p)),
-        ("bottom-equivariance", lambda: multicell_equal(
-            gamma_compose(f, [sigma_act(g1, sw), g2]),
-            sigma_act(comp, block(perms.identity(2),
-                                  [sw, perms.identity(1)])), p)),
+        ("associativity", partial(_multicat_associativity, f, g1, g2, comp, h, ps)),
+        ("unit-left", partial(_unit_left, f, p)),
+        ("unit-right", partial(_unit_right, f, p)),
+        ("action-functorial", partial(
+            _action_functorial, m3, Perm((2, 3, 1)), Perm((2, 1, 3)), ps)),
+        ("action-identity", partial(_action_identity, m3)),
+        ("top-equivariance", partial(_composition_equivariance, f, (g1, g2), comp,
+                                     _SWAP, (perms.identity(1), perms.identity(2)), p)),
+        ("bottom-equivariance", partial(_composition_equivariance, f, (g1, g2), comp,
+                                        perms.identity(2), (_SWAP, perms.identity(1)), p)),
     ]
+
+
+def _fold_homomorphism(alg: MonoidAlg) -> Report:
+    monoid = alg.monoid
+    count = 0
+    seqs = [tuple(s) for n in range(3)
+            for s in itertools.product(monoid.elements, repeat=n)]
+    if monoid_algebra_eval(alg, ()) != monoid.unit:
+        return _fact(False, "empty fold is not the unit")
+    for s1 in seqs:
+        for s2 in seqs:
+            count += 1
+            joint = monoid_algebra_eval(alg, s1 + s2)
+            split = monoid.mult(monoid_algebra_eval(alg, s1),
+                                monoid_algebra_eval(alg, s2))
+            if joint != split:
+                return _fact(False, f"fold broke at {s1} ++ {s2}")
+    return _fact(True, "", count)
+
+
+def _bracketed_multiplications(alg: MonoidAlg, bud: Budget) -> Report:
+    mb = alg.carrier
+    t3 = Prod((mb, mb, mb))
+    mult = MonoidMult(alg.monoid, 2)
+    left_fun = Compose((Tuple((Compose((_span(t3, 1, 2), mult)), Proj(t3, 3))), mult))
+    right_fun = Compose((Tuple((Proj(t3, 1), Compose((_span(t3, 2, 3), mult)))), mult))
+    struct = structure_cell(alg)
+    left = gamma_compose(struct, [free_multi(left_fun)])
+    right = gamma_compose(struct, [free_multi(right_fun)])
+    return bundle([("equal", multicell_equal(left, right, _points(_seq(bud, 2), 120))),
+                   ("pseudo-morphism",
+                    validate_onecell(left, _points(_seq(bud, 2), 60)))])
 
 
 @_suite("monoid.algebra",
@@ -1044,51 +1079,14 @@ def _multicat(ctx: SuiteContext) -> list[Check]:
         " with identity constraint, and composing bracketed"
         " multiplications into it agrees either way.")
 def _monoid_algebra(ctx: SuiteContext) -> list[Check]:
-    b, monoid, bud = ctx.base, ctx.monoid, ctx.bud
-    alg = MonoidAlg(monoid)
-    mb = alg.carrier
-    p = _points(bud, 400)
-
-    def fold_homomorphism():
-        count = 0
-        elems = monoid.elements
-        seqs = [tuple(s) for n in range(3)
-                for s in itertools.product(elems, repeat=n)]
-        if monoid_algebra_eval(alg, ()) != monoid.unit:
-            return _fact(False, "empty fold is not the unit")
-        for s1 in seqs:
-            for s2 in seqs:
-                count += 1
-                joint = monoid_algebra_eval(alg, s1 + s2)
-                split = monoid.mult(monoid_algebra_eval(alg, s1),
-                                    monoid_algebra_eval(alg, s2))
-                if joint != split:
-                    return _fact(False, f"fold broke at {s1} ++ {s2}")
-        return _fact(True, "", count)
-
-    def bracketings():
-        t3 = Prod((mb, mb, mb))
-        mult = MonoidMult(monoid, 2)
-        left_fun = Compose((
-            Tuple((Compose((Tuple((Proj(t3, 1), Proj(t3, 2))), mult)),
-                   Proj(t3, 3))), mult))
-        right_fun = Compose((
-            Tuple((Proj(t3, 1),
-                   Compose((Tuple((Proj(t3, 2), Proj(t3, 3))), mult)))), mult))
-        struct = structure_cell(alg)
-        left = gamma_compose(struct, [free_multi(left_fun)])
-        right = gamma_compose(struct, [free_multi(right_fun)])
-        pb = _points(_seq(bud, 2), 120)
-        return bundle([("equal", multicell_equal(left, right, pb)),
-                       ("pseudo-morphism",
-                        validate_onecell(left, _points(_seq(bud, 2), 60)))])
-
+    b, bud = ctx.base, ctx.bud
+    alg = MonoidAlg(ctx.monoid)
     return [
-        ("fold-homomorphism", fold_homomorphism),
-        ("structure-map", lambda: validate_onecell(structure_cell(alg), p)),
-        ("free-structure-map", lambda: validate_onecell(
-            structure_cell(FreeAlg(b)), _points(bud, 150))),
-        ("bracketed-multiplications", bracketings),
+        ("fold-homomorphism", partial(_fold_homomorphism, alg)),
+        ("structure-map", partial(_onecell_of, structure_cell, alg, _points(bud, 400))),
+        ("free-structure-map", partial(
+            _onecell_of, structure_cell, FreeAlg(b), _points(bud, 150))),
+        ("bracketed-multiplications", partial(_bracketed_multiplications, alg, bud)),
     ]
 
 

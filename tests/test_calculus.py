@@ -414,12 +414,14 @@ def test_exchange_law():
     unpack = Tuple((ApplyT(Proj(p, 1)), ApplyT(Proj(p, 2))))
     beta = WhiskerL(unpack, Gamma((A, A)))
     h = HComp(g, beta)
-    src, tgt = cell_endpoints(h)
-    x, y = seq(("x", "y")), seq(("x", "y"))
-    lev = level_of(fun_endpoints(src)[1])
-    one = eval_cell(h, (x, y))
-    two = eval_cell(h, (x, y), hcomp_order=2)
-    assert one == two
+    x = (seq(("x", "y")), seq(("x", "y")))
+    # the other order: beta at the image of x under g's source, followed
+    # by the image of g's component under beta's target
+    sg, _ = cell_endpoints(g)
+    _, tb = cell_endpoints(beta)
+    lev = level_of(fun_endpoints(tb)[1])
+    other = lev.comp(eval_fun_mor(tb, eval_cell(g, x)), eval_cell(beta, eval_fun(sg, x)))
+    assert eval_cell(h, x) == other
 
 
 def test_reports_deterministic_bytes():

@@ -164,11 +164,19 @@ def test_missing_command_is_a_usage_error():
     assert cli.main([]) == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--max-seq-len", "0"), ("--max-points", "-5")])
+INVALID_BUDGETS = {
+    ("--max-seq-len", "0"): "max_seq_len must be at least 1, got 0",
+    ("--max-points", "-5"): "max_points must be at least 1, got -5",
+    ("--max-points", "0"): "max_points must be at least 1, got 0",
+    ("--max-nest", "-1"): "max_nest must be at least 0, got -1",
+}
+
+
+@pytest.mark.parametrize("flag, value", list(INVALID_BUDGETS))
 def test_run_invalid_budget_is_a_usage_error(capsys, flag, value):
+    message = INVALID_BUDGETS[flag, value]
     assert cli.main(["run", "--suite", "monad.laws", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("run: invalid budget") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"run: invalid budget: {message}\n"
 
 
 def test_run_unwritable_report_fails_before_the_run(monkeypatch, capsys):

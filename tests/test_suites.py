@@ -1,7 +1,9 @@
 """Contract tests for the suite catalog and runner."""
 
+import functools
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -9,6 +11,7 @@ from shufflecat.calculus import Budget, CatBase
 from shufflecat.fixtures import builtin_base, builtin_monoid
 from shufflecat.mutations import inject
 from shufflecat.suites import (
+    DEFAULT_BUDGET,
     LAW_COVERAGE,
     MUTATION_WITNESSES,
     SUITES,
@@ -39,6 +42,25 @@ def test_catalog_states_the_key_laws():
     assert "Associativity of ω" in laws["omega.associativity"]
     assert "weak right order on" in laws["bruhat.path-independence"]
     assert "is an identity 2-cell" in laws["pseudocomm.axiom4"]
+
+
+@pytest.mark.parametrize("bud", [SMALL.bud, DEFAULT_BUDGET], ids=["small", "default"])
+def test_every_check_is_a_picklable_partial_of_a_module_level_function(bud):
+    ctx = SuiteContext(SMALL.base, SMALL.monoid, bud)
+    for ident in sorted(SUITES):
+        for name, check in SUITES[ident].build(ctx):
+            assert isinstance(check, functools.partial), (ident, name)
+            qual = check.func.__qualname__
+            assert "<lambda>" not in qual and "<locals>" not in qual, (ident, name, qual)
+            pickle.dumps(check)
+
+
+@pytest.mark.parametrize("ident", ["esigma.operad", "monad.laws", "strength.laws",
+                                   "omega.two"])
+def test_an_unpickled_check_reports_what_the_original_does(ident):
+    for name, check in SUITES[ident].build(SMALL):
+        copy = pickle.loads(pickle.dumps(check))
+        assert copy().to_dict() == check().to_dict(), name
 
 
 def test_law_coverage_is_total_and_valid():

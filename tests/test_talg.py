@@ -11,6 +11,7 @@ from shufflecat.algebras import (
     FreeAlg,
     MonoidAlg,
     MultiCell,
+    MultiTwoCell,
     _coherence_check,
     _eta_check,
     _fit,
@@ -21,13 +22,11 @@ from shufflecat.algebras import (
     free_multi,
     gamma_compose,
     gamma_compose_cell,
-    gamma_twocell,
     identity_cell,
     identity_twocell,
     monoid_algebra_eval,
     multicell_equal,
     omega_cell,
-    omega_prime_cell,
     omega_sigma_fun,
     phi_T,
     phi_T_cell,
@@ -64,6 +63,7 @@ from shufflecat.calculus import (
     equal_fun,
     eval_fun,
     fun_dom,
+    gamma_source,
 )
 from shufflecat.calculus import FunBase
 from shufflecat.fincat import FunTable
@@ -87,6 +87,29 @@ Z2 = builtin_monoid("z2")
 BUD = Budget(max_seq_len=2, max_points=200, seed=0)
 SMALL = Budget(max_seq_len=2, max_points=60, seed=0)
 SWAP = Perm((2, 1))
+
+
+# The reverse interleaving and the interchange between the two walks,
+# built here as oracles for the two-slot walk and the two-cell checks.
+
+
+def omega_prime_cell(inners):
+    """Reverse interleaving for two slots: second slot slowest."""
+    a, b = tuple(inners)
+    prod = Prod((a, b))
+    carriers = (Free(a), Free(b))
+    und = gamma_source((a, b), 2, 1)
+    first = WhiskerR(
+        Gamma((Free(a), b)),
+        Compose((ApplyT(Strength((a, b), 1)), Mu(prod))),
+    )
+    second = IdCell(Compose((Strength(carriers, 2), ApplyT(und), Mu(prod))))
+    return MultiCell((FreeAlg(a), FreeAlg(b)), FreeAlg(prod), und, (first, second))
+
+
+def gamma_twocell(a, b):
+    """The interchange, as a 2-cell between the two interleaving cells."""
+    return MultiTwoCell(omega_cell((a, b)), omega_prime_cell((a, b)), Gamma((a, b)))
 
 
 # ------------------------------------------------------------- objects

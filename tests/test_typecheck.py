@@ -258,7 +258,7 @@ def test_components_inside_a_check_equal_one_off_components(cell):
     objs, _ = enumerate_objects(fun_dom(cell_endpoints(cell)[0]), BUD)
 
     def components():
-        return [eval_cell(cell, o, h) for o in objs for h in (1, 2)]
+        return [eval_cell(cell, o) for o in objs]
 
     assert calculus._sharing(components)() == components()
 
@@ -287,8 +287,8 @@ def test_drifting_components_are_reported(monkeypatch, cell, end):
     object."""
     real = calculus._CELL_ACTIONS[Gamma]
 
-    def drifting(e, x, h):
-        comp = real(e, x, h)
+    def drifting(e, x):
+        comp = real(e, x)
         lev = Free(Prod(e.slots))
         return lev.identity(lev.tgt(comp) if end == "source" else lev.src(comp))
 
