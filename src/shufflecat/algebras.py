@@ -50,6 +50,7 @@ from .calculus import (
     WhiskerL,
     WhiskerR,
     cell_endpoints,
+    cell_facts,
     equal_cell,
     equal_fun,
     free_depth,
@@ -113,6 +114,44 @@ def _at_slot(cats: Sequence[CatExpr], i: int, g: FunExpr) -> FunExpr:
     return prod_map(cats, tuple(funs))
 
 
+def _span(dom: CatExpr, lo: int, hi: int) -> FunExpr:
+    """Slots lo..hi of the product dom, as a product (empty when hi < lo)."""
+    if hi < lo:
+        return Const(dom, Prod(()), ())
+    return Tuple(tuple(Proj(dom, k) for k in range(lo, hi + 1)))
+
+
+def _blockwise(dom: CatExpr, bounds: Sequence[tuple[int, int]],
+               funs: Sequence[FunExpr]) -> FunExpr:
+    """Feed each block (lo, hi) of the slots of dom through its functor;
+    with no blocks, dom is the empty product and this its identity."""
+    if not bounds:
+        return Identity(dom)
+    return Tuple(
+        tuple(Compose((_span(dom, lo, hi), g)) for (lo, hi), g in zip(bounds, funs))
+    )
+
+
+def _ungroup(dom: Prod, grouped: Sequence[int]) -> FunExpr:
+    """The slots of dom with the factors at the positions in grouped, which
+    are products themselves, spread out into their own slots."""
+    parts: list[FunExpr] = []
+    for k, c in enumerate(dom.factors, start=1):
+        if k in grouped:
+            parts.extend(Compose((Proj(dom, k), Proj(c, m)))
+                         for m in range(1, len(c.factors) + 1))
+        else:
+            parts.append(Proj(dom, k))
+    return Tuple(tuple(parts))
+
+
+def _route(
+    carriers: Sequence[CatExpr], i: int, und: FunExpr, output: Algebra
+) -> FunExpr:
+    """Route that frees slot i, interleaves, applies und, then acts."""
+    return Compose((Strength(carriers, i), ApplyT(und), output.structure))
+
+
 @dataclass(frozen=True)
 class MultiCell:
     """Functor out of a product of carriers plus one constraint per slot.
@@ -135,11 +174,8 @@ class MultiCell:
         if dom != Prod(self.carriers) or cod != self.output.carrier:
             raise TypecheckError("underlying functor has the wrong boundary")
         for i, c in enumerate(self.constraints, start=1):
-            want = Prod(_with_free(self.carriers, i))
-            for side in cell_endpoints(c):
-                d, co = fun_endpoints(side)
-                if d != want or co != self.output.carrier:
-                    raise TypecheckError(f"constraint {i} has the wrong boundary")
+            if cell_facts(c)[2:] != (Prod(_with_free(self.carriers, i)), cod):
+                raise TypecheckError(f"constraint {i} has the wrong boundary")
 
     @property
     def arity(self) -> int:
@@ -151,13 +187,7 @@ class MultiCell:
 
     def square_source(self, i: int) -> FunExpr:
         """Route that frees slot i, interleaves, applies, then acts."""
-        return Compose(
-            (
-                Strength(self.carriers, i),
-                ApplyT(self.underlying),
-                self.output.structure,
-            )
-        )
+        return _route(self.carriers, i, self.underlying, self.output)
 
     def square_target(self, i: int) -> FunExpr:
         """Route that acts on the freed slot first, then applies."""
@@ -180,12 +210,9 @@ class MultiTwoCell:
             raise TypecheckError("two-cell endpoints take different inputs")
         if self.source.output != self.target.output:
             raise TypecheckError("two-cell endpoints land in different algebras")
-        want_dom = Prod(self.source.carriers)
-        want_cod = self.source.output.carrier
-        for side in cell_endpoints(self.component):
-            d, co = fun_endpoints(side)
-            if d != want_dom or co != want_cod:
-                raise TypecheckError("component has the wrong boundary")
+        want = (Prod(self.source.carriers), self.source.output.carrier)
+        if cell_facts(self.component)[2:] != want:
+            raise TypecheckError("component has the wrong boundary")
 
 
 def _fit(bud: Budget, *cats: CatExpr) -> Budget:
@@ -198,8 +225,8 @@ def _fit(bud: Budget, *cats: CatExpr) -> Budget:
 
 
 def _square_check(m: MultiCell, i: int, bud: Budget) -> Report:
-    src, tgt = cell_endpoints(m.constraints[i - 1])
-    fit = _fit(bud, fun_dom(src))
+    src, tgt, dom, _ = cell_facts(m.constraints[i - 1])
+    fit = _fit(bud, dom)
     r1 = equal_fun(src, m.square_source(i), fit)
     if not r1.passed:
         return replace(r1, detail="constraint source differs from the interleave-then-act route")
@@ -342,8 +369,7 @@ def multicell_equal(m1: MultiCell, m2: MultiCell, bud: Budget) -> Report:
 def identity_cell(alg: Algebra) -> MultiCell:
     """Unary cell projecting the single slot, with a strict constraint."""
     und = Proj(Prod((alg.carrier,)), 1)
-    route = Compose((Strength((alg.carrier,), 1), ApplyT(und), alg.structure))
-    return MultiCell((alg,), alg, und, (IdCell(route),))
+    return MultiCell((alg,), alg, und, (IdCell(_route((alg.carrier,), 1, und, alg)),))
 
 
 def identity_twocell(m: MultiCell) -> MultiTwoCell:
@@ -361,40 +387,27 @@ def omega_cell(inners: Sequence[CatExpr]) -> MultiCell:
     inners = tuple(inners)
     n = len(inners)
     prod = Prod(inners)
-    carriers = _frees(inners)
+    out = FreeAlg(prod)
     und = Omega(inners)
-    if n == 0:
-        cons: tuple[CellExpr, ...] = ()
-    elif n == 1:
-        cons = (IdCell(Compose((Strength(carriers, 1), ApplyT(und), Mu(prod)))),)
-    elif n == 2:
-        first = IdCell(Compose((Strength(carriers, 1), ApplyT(und), Mu(prod))))
-        second = WhiskerR(
-            GammaInv((inners[0], Free(inners[1]))),
-            Compose((ApplyT(Strength(inners, 2)), Mu(prod))),
-        )
-        cons = (first, second)
-    else:
-        head = inners[:-1]
-        hp = Prod(head)
-        last = inners[-1]
+    cons: tuple[CellExpr, ...] = ()
+    if n > 2:
+        head, last = inners[:-1], inners[-1]
         rec = gamma_compose(
-            omega_cell((hp, last)),
+            omega_cell((Prod(head), last)),
             (omega_cell(head), identity_cell(FreeAlg(last))),
         )
-        outer = Prod((hp, last))
-        flat = Tuple(
-            tuple(Compose((Proj(outer, 1), Proj(hp, k))) for k in range(1, n))
-            + (Proj(outer, 2),)
+        flat = ApplyT(_ungroup(Prod((Prod(head), last)), (1,)))
+        cons = tuple(WhiskerR(c, flat) for c in rec.constraints)
+    elif n:
+        cons = (IdCell(_route(_frees(inners), 1, und, out)),)
+    if n == 2:
+        cons += (
+            WhiskerR(
+                GammaInv((inners[0], Free(inners[1]))),
+                Compose((ApplyT(Strength(inners, 2)), Mu(prod))),
+            ),
         )
-        cons = tuple(WhiskerR(c, ApplyT(flat)) for c in rec.constraints)
-    return MultiCell(tuple(FreeAlg(a) for a in inners), FreeAlg(prod), und, cons)
-
-
-def _block_proj(dom: CatExpr, lo: int, hi: int) -> FunExpr:
-    if hi < lo:
-        return Const(dom, Prod(()), ())
-    return Tuple(tuple(Proj(dom, k) for k in range(lo, hi + 1)))
+    return MultiCell(tuple(FreeAlg(a) for a in inners), out, und, cons)
 
 
 def _block_bounds(sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -421,40 +434,29 @@ def gamma_compose(f: MultiCell, gs: Sequence[MultiCell]) -> MultiCell:
             raise TypecheckError(f"block {j} does not land in outer input {j}")
     inputs = tuple(a for g in gs for a in g.inputs)
     carriers = tuple(a.carrier for a in inputs)
-    dom = Prod(carriers)
     bounds = _block_bounds([g.arity for g in gs])
-    if f.arity == 0:
-        prodg: FunExpr = Identity(Prod(()))
-    else:
-        prodg = Tuple(
-            tuple(
-                Compose((_block_proj(dom, lo, hi), g.underlying))
-                for (lo, hi), g in zip(bounds, gs)
-            )
-        )
-    und = Compose((prodg, f.underlying))
+    und = Compose((_blockwise(Prod(carriers), bounds, [g.underlying for g in gs]),
+                   f.underlying))
     cons: list[CellExpr] = []
-    for s in range(1, len(inputs) + 1):
-        j = next(t for t, (lo, hi) in enumerate(bounds, start=1) if lo <= s <= hi)
-        d = s - bounds[j - 1][0] + 1
-        dom_s = Prod(_with_free(carriers, s))
-        pre_parts: list[FunExpr] = []
-        ctx_parts: list[CellExpr] = []
-        for t, ((lo, hi), g) in enumerate(zip(bounds, gs), start=1):
-            bp = _block_proj(dom_s, lo, hi)
-            if t != j:
-                through = Compose((bp, g.underlying))
-                pre_parts.append(through)
-                ctx_parts.append(IdCell(through))
-            else:
-                block_carr = tuple(a.carrier for a in g.inputs)
-                pre_parts.append(
-                    Compose((bp, Strength(block_carr, d), ApplyT(g.underlying)))
-                )
-                ctx_parts.append(WhiskerL(bp, g.constraints[d - 1]))
-        cell1 = WhiskerL(Tuple(tuple(pre_parts)), f.constraints[j - 1])
-        cell2 = WhiskerR(TupleCell(tuple(ctx_parts)), f.underlying)
-        cons.append(VComp((cell1, cell2)))
+    for j, ((lo_j, _), g_j) in enumerate(zip(bounds, gs), start=1):
+        for d in range(1, g_j.arity + 1):
+            dom_s = Prod(_with_free(carriers, lo_j + d - 1))
+            pre_parts: list[FunExpr] = []
+            ctx_parts: list[CellExpr] = []
+            for t, ((lo, hi), g) in enumerate(zip(bounds, gs), start=1):
+                bp = _span(dom_s, lo, hi)
+                if t != j:
+                    through = Compose((bp, g.underlying))
+                    pre_parts.append(through)
+                    ctx_parts.append(IdCell(through))
+                else:
+                    pre_parts.append(
+                        Compose((bp, Strength(g.carriers, d), ApplyT(g.underlying)))
+                    )
+                    ctx_parts.append(WhiskerL(bp, g.constraints[d - 1]))
+            cell1 = WhiskerL(Tuple(tuple(pre_parts)), f.constraints[j - 1])
+            cell2 = WhiskerR(TupleCell(tuple(ctx_parts)), f.underlying)
+            cons.append(VComp((cell1, cell2)))
     return MultiCell(inputs, f.output, und, tuple(cons))
 
 
@@ -470,15 +472,9 @@ def gamma_compose_cell(
     dom = Prod(src.carriers)
     bounds = _block_bounds([b.source.arity for b in betas])
     block_cells = tuple(
-        WhiskerL(_block_proj(dom, lo, hi), b.component)
-        for (lo, hi), b in zip(bounds, betas)
+        WhiskerL(_span(dom, lo, hi), b.component) for (lo, hi), b in zip(bounds, betas)
     )
-    prodg_t = Tuple(
-        tuple(
-            Compose((_block_proj(dom, lo, hi), b.target.underlying))
-            for (lo, hi), b in zip(bounds, betas)
-        )
-    )
+    prodg_t = _blockwise(dom, bounds, [b.target.underlying for b in betas])
     comp = VComp(
         (
             WhiskerR(TupleCell(block_cells), alpha.source.underlying),
@@ -522,13 +518,8 @@ def free_multi(f: FunExpr) -> MultiCell:
     dom = fun_dom(f)
     if not isinstance(dom, Prod):
         raise TypecheckError("free_multi needs a functor out of a product")
-    inners = dom.factors
-    base = omega_cell(inners)
-    if f == Identity(dom):
-        return base
-    und = Compose((Omega(inners), ApplyT(f)))
-    cons = tuple(WhiskerR(c, ApplyT(f)) for c in base.constraints)
-    return MultiCell(base.inputs, FreeAlg(fun_cod(f)), und, cons)
+    walk = omega_cell(dom.factors)
+    return walk if f == Identity(dom) else postcompose_free(walk, f)
 
 
 def shuffle_into(factors: Sequence[CatExpr], sigma: Perm) -> FunExpr:
@@ -603,43 +594,17 @@ def omega_sigma_fun(inners: Sequence[CatExpr], sigma: Perm) -> FunExpr:
 def _swap_cell(inners: tuple[CatExpr, ...], sigma: Perm, i: int) -> CellExpr:
     # interchange of the adjacent pair (i, i+1) of the sigma-ordered walk,
     # out of the sigma-permuted free factors, relabelled back to slot order
-    n = len(inners)
     permuted = perms.permute(inners, sigma)
     dpp = Prod(_frees(permuted))
-    pair = Prod((permuted[i - 1], permuted[i]))
-    parts: list[CellExpr] = []
-    blockcats: list[CatExpr] = []
-    for l in range(1, n + 1):
-        if l == i:
-            parts.append(
-                WhiskerL(
-                    Tuple((Proj(dpp, i), Proj(dpp, i + 1))),
-                    Gamma((permuted[i - 1], permuted[i])),
-                )
-            )
-            blockcats.append(pair)
-        elif l == i + 1:
-            continue
-        else:
-            parts.append(IdCell(Proj(dpp, l)))
-            blockcats.append(permuted[l - 1])
-    op = Prod(tuple(blockcats))
-    inv = perms.invert(sigma)
-    relabel_parts: list[FunExpr] = []
-    for m in range(1, n + 1):
-        l = inv(m)
-        if l == i:
-            relabel_parts.append(Compose((Proj(op, i), Proj(pair, 1))))
-        elif l == i + 1:
-            relabel_parts.append(Compose((Proj(op, i), Proj(pair, 2))))
-        elif l < i:
-            relabel_parts.append(Proj(op, l))
-        else:
-            relabel_parts.append(Proj(op, l - 1))
-    return WhiskerR(
-        TupleCell(tuple(parts)),
-        Compose((Omega(tuple(blockcats)), ApplyT(Tuple(tuple(relabel_parts))))),
+    pair = permuted[i - 1 : i + 1]
+    parts = (
+        tuple(IdCell(Proj(dpp, l)) for l in range(1, i))
+        + (WhiskerL(_span(dpp, i, i + 1), Gamma(pair)),)
+        + tuple(IdCell(Proj(dpp, l)) for l in range(i + 2, len(inners) + 1))
     )
+    op = Prod(permuted[: i - 1] + (Prod(pair),) + permuted[i + 1 :])
+    relabel = Compose((_ungroup(op, (i,)), shuffle_into(inners, sigma)))
+    return WhiskerR(TupleCell(parts), Compose((Omega(op.factors), ApplyT(relabel))))
 
 
 def _cover_cell(inners: tuple[CatExpr, ...], sigma: Perm, i: int) -> CellExpr:
@@ -685,7 +650,7 @@ def structure_cell(alg: Algebra) -> MultiCell:
     multiplication law of the algebra), so the constraint is strict."""
     dom = Prod((Free(alg.carrier),))
     und = Compose((Proj(dom, 1), alg.structure))
-    route = Compose((Strength((Free(alg.carrier),), 1), ApplyT(und), alg.structure))
+    route = _route(dom.factors, 1, und, alg)
     return MultiCell((FreeAlg(alg.carrier),), alg, und, (IdCell(route),))
 
 

@@ -135,7 +135,7 @@ def cmd_validate(args) -> int:
     for path in args.files:
         try:
             doc = _load_doc(path)
-            kind = "monoid" if "elements" in doc else "category"
+            kind = "monoid" if isinstance(doc, dict) and "elements" in doc else "category"
             (load_monoid if kind == "monoid" else load_fincat)(doc)
             print(f"{path}: ok ({kind})")
         except UsageError as exc:

@@ -26,7 +26,6 @@ __all__ = [
     "identity_functor",
     "load_fincat",
     "load_monoid",
-    "serialize_fincat",
 ]
 
 ID_PREFIX = "id_"
@@ -103,16 +102,32 @@ def _require(cond: bool, msg: str) -> None:
         raise FinCatError(msg)
 
 
+def _records(doc: dict, key: str, fields: tuple, where: str) -> list[tuple]:
+    """The entries of doc[key], a list of objects with a string under
+    each of fields, as tuples of those strings."""
+    entries = doc[key]
+    _require(isinstance(entries, list), f"{where}: field {key!r} must be a list")
+    for entry in entries:
+        _require(isinstance(entry, dict)
+                 and all(isinstance(entry.get(k), str) for k in fields),
+                 f"{where}: each entry of {key!r} must be an object with string "
+                 + ", ".join(map(repr, fields)))
+    return [tuple(entry[k] for k in fields) for entry in entries]
+
+
 def load_fincat(doc: dict) -> FinCat:
-    """Build a validated FinCat from a parsed category document."""
+    """Build a validated FinCat from a parsed category document; any
+    malformed document raises FinCatError, naming the field at fault."""
     _require(isinstance(doc, dict), "category document must be an object")
     for key in ("name", "objects", "morphisms", "compose"):
         _require(key in doc, f"category document missing key {key!r}")
     name = doc["name"]
     _require(isinstance(name, str) and name != "", "category name must be nonempty")
 
-    objects = tuple(doc["objects"])
-    _require(all(isinstance(o, str) and o for o in objects), f"{name}: objects must be nonempty strings")
+    objects = doc["objects"]
+    _require(isinstance(objects, list) and all(isinstance(o, str) and o for o in objects),
+             f"{name}: field 'objects' must be a list of nonempty strings")
+    objects = tuple(objects)
     _require(len(set(objects)) == len(objects), f"{name}: duplicate object names")
 
     src: dict[str, str] = {}
@@ -121,9 +136,8 @@ def load_fincat(doc: dict) -> FinCat:
     for o in objects:
         src[ID_PREFIX + o] = o
         tgt[ID_PREFIX + o] = o
-    for entry in doc["morphisms"]:
-        m, a, b = entry["id"], entry["src"], entry["tgt"]
-        _require(isinstance(m, str) and m, f"{name}: morphism ids must be nonempty strings")
+    for m, a, b in _records(doc, "morphisms", ("id", "src", "tgt"), name):
+        _require(m != "", f"{name}: morphism ids must be nonempty strings")
         _require(not m.startswith(ID_PREFIX), f"{name}: morphism id {m!r} uses the reserved prefix {ID_PREFIX!r}")
         _require(m not in src, f"{name}: duplicate morphism id {m!r}")
         _require(a in objects, f"{name}: morphism {m!r} has unknown source {a!r}")
@@ -133,11 +147,10 @@ def load_fincat(doc: dict) -> FinCat:
         declared.append(m)
 
     table: dict[tuple[str, str], str] = {}
-    for entry in doc["compose"]:
-        f, g, r = entry["first"], entry["second"], entry["result"]
+    for f, g, r in _records(doc, "compose", ("first", "second", "result"), name):
         for label in (f, g):
             _require(
-                not (isinstance(label, str) and label.startswith(ID_PREFIX)),
+                not label.startswith(ID_PREFIX),
                 f"{name}: compose pairs must not mention the reserved identities ({label!r})",
             )
         for label in (f, g, r):
@@ -180,21 +193,6 @@ def load_fincat(doc: dict) -> FinCat:
                     f"{left!r} != {right!r}",
                 )
     return cat
-
-
-def serialize_fincat(cat: FinCat) -> dict:
-    """Document for a FinCat; loading it back gives an isomorphic copy."""
-    return {
-        "name": cat.name,
-        "objects": list(cat.objects),
-        "morphisms": [
-            {"id": m, "src": cat.src(m), "tgt": cat.tgt(m)} for m in cat._declared
-        ],
-        "compose": [
-            {"first": f, "second": g, "result": r}
-            for (f, g), r in sorted(cat._table.items())
-        ],
-    }
 
 
 @dataclass(eq=False)
@@ -303,19 +301,26 @@ class CommMonoid:
 def load_monoid(doc: dict) -> CommMonoid:
     """Build a CommMonoid from ``{"elements", "unit", "table"}``; the table
     is a square matrix in element order.  Validates unit, associativity,
-    commutativity, and closure exhaustively."""
+    commutativity, and closure exhaustively; any malformed document raises
+    FinCatError, naming the field at fault."""
+    _require(isinstance(doc, dict), "monoid document must be an object")
     for key in ("elements", "unit", "table"):
         _require(key in doc, f"monoid document missing key {key!r}")
-    elements = tuple(doc["elements"])
+    elements = doc["elements"]
+    _require(isinstance(elements, list) and all(isinstance(e, str) for e in elements),
+             "field 'elements' must be a list of strings")
+    elements = tuple(elements)
     _require(len(elements) > 0, "monoid needs at least one element")
     _require(len(set(elements)) == len(elements), "duplicate monoid elements")
     unit = doc["unit"]
     _require(unit in elements, f"unit {unit!r} is not an element")
     rows = doc["table"]
-    _require(len(rows) == len(elements), "table must have one row per element")
+    _require(isinstance(rows, list) and len(rows) == len(elements),
+             "field 'table' must be a list with one row per element")
     table = {}
     for a, row in zip(elements, rows):
-        _require(len(row) == len(elements), f"row for {a!r} has wrong length")
+        _require(isinstance(row, list) and len(row) == len(elements),
+                 f"field 'table': row for {a!r} must be a list with one entry per element")
         for b, r in zip(elements, row):
             _require(r in elements, f"product {a!r}*{b!r} = {r!r} is not an element")
             table[(a, b)] = r

@@ -4,12 +4,13 @@ A suite is a datum: a stable identifier, the law it checks stated in
 plain language, and a builder that turns fixtures plus a budget into a
 list of named checks.  A check is ``(name, partial(fn, *inputs))`` with
 ``fn`` a checker or a check function of this module; called, it builds
-most heavy cells itself and returns one ``Report``, the ``bundle`` of its
-sub-checks if it has several.  So building a suite evaluates nothing,
-and a check pickles and shows its inputs.  The mirrored laws share one
-builder, registered once per suite id with the side as an argument.
-Reports are deterministic for a fixed context; wall-clock times are
-attached only on request so repeated runs serialize to identical bytes.
+every composite of algebra cells itself and returns one ``Report``, the
+``bundle`` of its sub-checks if it has several.  So building a suite
+evaluates nothing, and a check pickles and shows its inputs.  The
+mirrored laws share one builder, registered once per suite id with the
+side as an argument.  Reports are deterministic for a fixed context;
+wall-clock times are attached only on request so repeated runs serialize
+to identical bytes.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from .algebras import (
     MonoidAlg,
     _at_slot,
     _block_bounds,
+    _blockwise,
     _cover_cell,
     _frees,
+    _span,
+    _ungroup,
     _with_free,
     _with_perm,
     bruhat_omega,
@@ -177,11 +181,7 @@ def _bracketing(A: CatExpr, lo: int) -> tuple:
 
 def _flatten(A: CatExpr, lo: int):
     """Reassociate the bracketed triple onto Prod((A, A, A))."""
-    pair = Prod((A, A))
-    dom = Prod(_bracketing(A, lo))
-    inner = tuple(Compose((Proj(dom, lo), Proj(pair, k))) for k in (1, 2))
-    rest = Proj(dom, 2 if lo == 1 else 1)
-    return Tuple(inner + (rest,) if lo == 1 else (rest,) + inner)
+    return _ungroup(Prod(_bracketing(A, lo)), (lo,))
 
 
 def _against_pair(A: CatExpr, D: Prod, lo: int, g) -> CellExpr:
@@ -207,17 +207,11 @@ def _swap_chain(inners: tuple, word: Sequence[int]) -> CellExpr:
                        for k, i in enumerate(word)))
 
 
-def _span(dom: Prod, lo: int, hi: int):
-    return Tuple(tuple(Proj(dom, k) for k in range(lo, hi + 1)))
-
-
 def _composite(base: CatExpr, sizes: Sequence[int], gs, f):
     """The flat functor Prod(base^sum(sizes)) -> cod f that feeds each
     block of slots through its functor in gs, then applies f."""
     flat = Prod((base,) * sum(sizes))
-    parts = tuple(Compose((_span(flat, lo, hi), g))
-                  for (lo, hi), g in zip(_block_bounds(sizes), gs))
-    return Compose((Tuple(parts), f))
+    return Compose((_blockwise(flat, _block_bounds(sizes), gs), f))
 
 
 def _blocked_identity(base: CatExpr, sizes: Sequence[int]):
@@ -503,26 +497,22 @@ def _omega_onecell(ctx: SuiteContext) -> list[Check]:
     ]
 
 
+def _grouped_walk(A: CatExpr, lo: int, bud: Budget) -> Report:
+    """The binary walk over the pair walk at slot lo and the unary identity
+    cell, flattened, against the ternary walk."""
+    blocks = _around(lo, omega_cell((A, A)), identity_cell(FreeAlg(A)))
+    grouped = gamma_compose(omega_cell(_bracketing(A, lo)), blocks)
+    return multicell_equal(postcompose_free(grouped, _flatten(A, lo)),
+                           omega_cell((A, A, A)), bud)
+
+
 @_suite("omega.associativity",
         "Associativity of ω: composing the binary walk with a nested walk"
         " in either slot and flattening gives the ternary walk.")
 def _omega_associativity(ctx: SuiteContext) -> list[Check]:
-    A, bud = ctx.base, ctx.bud
-    p = _points(bud, 150)
-    paa = Prod((A, A))
-    direct = omega_cell((A, A, A))
-    left = postcompose_free(
-        gamma_compose(omega_cell((paa, A)),
-                      [omega_cell((A, A)), identity_cell(FreeAlg(A))]),
-        _flatten(A, 1))
-    right = postcompose_free(
-        gamma_compose(omega_cell((A, paa)),
-                      [identity_cell(FreeAlg(A)), omega_cell((A, A))]),
-        _flatten(A, 2))
-    return [
-        ("left-grouping", partial(multicell_equal, left, direct, p)),
-        ("right-grouping", partial(multicell_equal, right, direct, p)),
-    ]
+    p = _points(ctx.bud, 150)
+    return [("left-grouping", partial(_grouped_walk, ctx.base, 1, p)),
+            ("right-grouping", partial(_grouped_walk, ctx.base, 2, p))]
 
 
 @_suite("omega.naturality",
@@ -560,12 +550,10 @@ def _recursive_walk(A: CatExpr, n: int, bud: Budget) -> Report:
     """The n-ary walk against the binary walk over the (n-1)-ary walk and
     the unary wrapper, pushed along the unwrapping of the grouped product."""
     head, wrap = Prod((A,) * (n - 1)), Prod((A,))
-    dom = Prod((head, wrap))
-    st = Tuple(tuple(Compose((Proj(dom, 1), Proj(head, k))) for k in range(1, n))
-               + (Compose((Proj(dom, 2), Proj(wrap, 1))),))
     rec = gamma_compose(omega_cell((head, wrap)),
                         [omega_cell((A,) * (n - 1)), omega_cell((A,))])
-    return multicell_equal(postcompose_free(rec, st), omega_cell((A,) * n), bud)
+    return multicell_equal(postcompose_free(rec, _ungroup(Prod((head, wrap)), (1, 2))),
+                           omega_cell((A,) * n), bud)
 
 
 @_suite("omega.recursion",
@@ -756,9 +744,7 @@ def _yangbaxter_disjoint(ctx: SuiteContext) -> list[Check]:
     paa = Prod((A, A))
     g12 = WhiskerL(_span(D4, 1, 2), Gamma((A, A)))
     g34 = WhiskerL(_span(D4, 3, 4), Gamma((A, A)))
-    dom2 = Prod((paa, paa))
-    flatten = Tuple(tuple(Compose((Proj(dom2, i), Proj(paa, k)))
-                          for i in (1, 2) for k in (1, 2)))
+    flatten = _ungroup(Prod((paa, paa)), (1, 2))
     grouped = WhiskerR(TupleCell((g12, g34)),
                        Compose((Omega((paa, paa)), ApplyT(flatten))))
     return [
@@ -980,37 +966,51 @@ def _phi_symmetric_action(ctx: SuiteContext) -> list[Check]:
             ("connecting-cells", partial(_phi_cells, f, _points(bud, 100)))]
 
 
-def _multicat_associativity(f, g1, g2, comp, h, bud: Budget) -> Report:
+def _outer_and_blocks(b: CatExpr):
+    """The binary walk with a grouped first slot, and the two blocks that
+    feed it: the pair walk and the unary identity cell."""
+    blocks = (omega_cell((b, b)), identity_cell(FreeAlg(b)))
+    return omega_cell((Prod((b, b)), b)), blocks
+
+
+def _multicat_associativity(b: CatExpr, bud: Budget) -> Report:
+    f, (g1, g2) = _outer_and_blocks(b)
+    h = free_multi(Proj(Prod((b,)), 1))
     return multicell_equal(
-        gamma_compose(comp, [h, h, h]),
+        gamma_compose(gamma_compose(f, [g1, g2]), [h, h, h]),
         gamma_compose(f, [gamma_compose(g1, [h, h]), gamma_compose(g2, [h])]), bud)
 
 
-def _unit_left(f, bud: Budget) -> Report:
+def _unit_left(b: CatExpr, bud: Budget) -> Report:
+    f = _outer_and_blocks(b)[0]
     return multicell_equal(gamma_compose(identity_cell(f.output), [f]), f, bud)
 
 
-def _unit_right(f, bud: Budget) -> Report:
+def _unit_right(b: CatExpr, bud: Budget) -> Report:
+    f = _outer_and_blocks(b)[0]
     return multicell_equal(
         gamma_compose(f, [identity_cell(a) for a in f.inputs]), f, bud)
 
 
-def _action_functorial(m, s: Perm, t: Perm, bud: Budget) -> Report:
+def _action_functorial(b: CatExpr, s: Perm, t: Perm, bud: Budget) -> Report:
+    m = omega_cell((b, b, b))
     return multicell_equal(sigma_act(sigma_act(m, s), t),
                            sigma_act(m, perms.compose(s, t)), bud)
 
 
-def _action_identity(m) -> Report:
+def _action_identity(b: CatExpr) -> Report:
+    m = omega_cell((b, b, b))
     return _fact(sigma_act(m, perms.identity(m.arity)) is m,
                  "acting by the identity returns the cell unchanged")
 
 
-def _composition_equivariance(f, gs, comp, sigma: Perm, taus, bud: Budget) -> Report:
+def _composition_equivariance(b: CatExpr, sigma: Perm, taus, bud: Budget) -> Report:
     """Composing with the blocks permuted by sigma, block l acted on by
     taus[l-1], against acting on the composite by block(sigma, taus)."""
+    f, gs = _outer_and_blocks(b)
     blocks = [sigma_act(gs[sigma(l) - 1], tau) for l, tau in enumerate(taus, 1)]
-    return multicell_equal(gamma_compose(sigma_act(f, sigma), blocks),
-                           sigma_act(comp, block(sigma, list(taus))), bud)
+    acted = sigma_act(gamma_compose(f, gs), block(sigma, list(taus)))
+    return multicell_equal(gamma_compose(sigma_act(f, sigma), blocks), acted, bud)
 
 
 @_suite("multicat.laws",
@@ -1019,25 +1019,19 @@ def _composition_equivariance(f, gs, comp, sigma: Perm, taus, bud: Budget) -> Re
         " on top and bottom.")
 def _multicat(ctx: SuiteContext) -> list[Check]:
     b, bud = ctx.base, ctx.bud
-    f = omega_cell((Prod((b, b)), b))
-    g1 = omega_cell((b, b))
-    g2 = identity_cell(FreeAlg(b))
-    comp = gamma_compose(f, [g1, g2])
-    h = free_multi(Proj(Prod((b,)), 1))
     p = _points(bud, 150)
     ps = _points(bud, 100)
-    m3 = omega_cell((b, b, b))
     return [
-        ("associativity", partial(_multicat_associativity, f, g1, g2, comp, h, ps)),
-        ("unit-left", partial(_unit_left, f, p)),
-        ("unit-right", partial(_unit_right, f, p)),
+        ("associativity", partial(_multicat_associativity, b, ps)),
+        ("unit-left", partial(_unit_left, b, p)),
+        ("unit-right", partial(_unit_right, b, p)),
         ("action-functorial", partial(
-            _action_functorial, m3, Perm((2, 3, 1)), Perm((2, 1, 3)), ps)),
-        ("action-identity", partial(_action_identity, m3)),
-        ("top-equivariance", partial(_composition_equivariance, f, (g1, g2), comp,
-                                     _SWAP, (perms.identity(1), perms.identity(2)), p)),
-        ("bottom-equivariance", partial(_composition_equivariance, f, (g1, g2), comp,
-                                        perms.identity(2), (_SWAP, perms.identity(1)), p)),
+            _action_functorial, b, Perm((2, 3, 1)), Perm((2, 1, 3)), ps)),
+        ("action-identity", partial(_action_identity, b)),
+        ("top-equivariance", partial(_composition_equivariance, b, _SWAP,
+                                     (perms.identity(1), perms.identity(2)), p)),
+        ("bottom-equivariance", partial(_composition_equivariance, b, perms.identity(2),
+                                        (_SWAP, perms.identity(1)), p)),
     ]
 
 

@@ -244,3 +244,37 @@ def test_deeply_nested_fixture_is_invalid(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
     assert cli.main(["run", "--suite", "monad.laws", "--base", str(deep)]) == 1
     assert "invalid fixture" in capsys.readouterr().err
+
+
+# Fixture documents of the wrong JSON shape, and the flag that loads each.
+MALFORMED_FIXTURES = {
+    "morphism-entry-a-string": (
+        {"name": "c", "objects": ["x"], "morphisms": ["f"], "compose": []}, "--base"),
+    "morphism-entry-without-id": (
+        {"name": "c", "objects": ["x"], "morphisms": [{"src": "x", "tgt": "x"}],
+         "compose": []}, "--base"),
+    "document-a-number": (5, "--base"),
+    "objects-a-string": (
+        {"name": "c", "objects": "xy", "morphisms": [], "compose": []}, "--base"),
+    "table-row-a-number": ({"elements": ["a"], "unit": "a", "table": [5]}, "--monoid"),
+    "element-a-list": ({"elements": [["a"]], "unit": "a", "table": [["a"]]}, "--monoid"),
+    "elements-a-string": ({"elements": "ab", "unit": "a",
+                           "table": [["a", "b"], ["b", "a"]]}, "--monoid"),
+}
+
+
+@pytest.mark.parametrize("doc, flag", MALFORMED_FIXTURES.values(),
+                         ids=MALFORMED_FIXTURES.keys())
+def test_malformed_fixture_is_invalid_with_exit_one(tmp_path, capsys, doc, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(load_json_resource("terminal.json")))
+    # validate reports the bad file and goes on to the next one
+    assert cli.main(["validate", str(bad), str(good)]) == 1
+    out, err = capsys.readouterr()
+    assert f"{bad}: INVALID: " in out and f"{good}: ok (category)" in out
+    assert "Traceback" not in err
+    assert cli.main(["run", "--suite", "esigma.operad", flag, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("shufflecat: invalid fixture: ") and "Traceback" not in err

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from shufflecat import algebras, suites
 from shufflecat.calculus import Budget, CatBase
 from shufflecat.fixtures import builtin_base, builtin_monoid
 from shufflecat.mutations import inject
@@ -34,6 +35,19 @@ def test_catalog_covers_every_suite():
     rows = catalog(SMALL)
     assert [ident for ident, _, _ in rows] == sorted(SUITES)
     assert all(count > 0 for _, _, count in rows)
+
+
+@pytest.mark.parametrize("bud", [SMALL.bud, DEFAULT_BUDGET], ids=["small", "default"])
+@pytest.mark.parametrize("base", ["terminal", "discrete2", "arrow"])
+def test_building_the_suites_composes_no_algebra_cells(monkeypatch, base, bud):
+    # composites of algebra cells are built by the checks that compare them
+    def refuse(*args):
+        raise AssertionError("a suite builder composed algebra cells")
+
+    monkeypatch.setattr(algebras, "gamma_compose", refuse)
+    monkeypatch.setattr(suites, "gamma_compose", refuse)
+    rows = catalog(default_context(base, bud=bud))
+    assert [ident for ident, _, _ in rows] == sorted(SUITES)
 
 
 def test_catalog_states_the_key_laws():

@@ -162,6 +162,30 @@ def test_identity_constraint_fails_coherence():
     assert report.counterexample is not None
 
 
+def test_multicell_rejects_a_wrong_boundary():
+    m = omega_cell((D2, AR))
+    relabel = ApplyT(Shuffle(Prod((D2, AR)), SWAP))
+    with pytest.raises(TypecheckError, match="^one constraint per input slot required$"):
+        MultiCell(m.inputs, m.output, m.underlying, m.constraints[:1])
+    with pytest.raises(TypecheckError, match="^underlying functor has the wrong boundary$"):
+        MultiCell(m.inputs, m.output, Omega((AR, D2)), m.constraints)
+    # constraint 1 frees the first slot, so in slot 2 its domain is wrong
+    with pytest.raises(TypecheckError, match="^constraint 2 has the wrong boundary$"):
+        MultiCell(m.inputs, m.output, m.underlying, (m.constraints[0],) * 2)
+    # the right domain, but relabelled into another codomain
+    with pytest.raises(TypecheckError, match="^constraint 1 has the wrong boundary$"):
+        MultiCell(m.inputs, m.output, m.underlying,
+                  (WhiskerR(m.constraints[0], relabel), m.constraints[1]))
+
+
+def test_multitwocell_rejects_a_wrong_component():
+    m = omega_cell((D2, AR))
+    for component in (IdCell(m.square_source(1)),
+                      IdCell(Compose((m.underlying, ApplyT(Shuffle(Prod((D2, AR)), SWAP)))))):
+        with pytest.raises(TypecheckError, match="^component has the wrong boundary$"):
+            MultiTwoCell(m, m, component)
+
+
 def test_unary_collapse_validates():
     table = FunTable(
         AR.cat,
