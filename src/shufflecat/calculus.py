@@ -22,9 +22,8 @@ target and categories from that pass instead of deriving them again.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, wraps
 from typing import Optional, Union
 
@@ -762,18 +761,7 @@ class Report:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "passed": self.passed,
-            "points": self.points,
-            "truncated": self.truncated,
-            "phase": self.phase,
-            "counterexample": self.counterexample,
-            "detail": self.detail,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return asdict(self)
 
 
 # Wrong values and type-shape breakage (a sequence where a plain object was
@@ -787,6 +775,38 @@ def _counterexample(point, left, right, note="") -> dict:
     if note:
         out["note"] = note
     return out
+
+
+def _first_failure(points, compare, count: int = 0) -> tuple:
+    """Walk points in order, stopping at the first one where compare(p)
+    returns (counterexample, detail) or raises an evaluation error.
+    Returns the points walked, counted on from count, and that failure or
+    None."""
+    for p in points:
+        count += 1
+        try:
+            failure = compare(p)
+        except _EVAL_ERRORS as err:
+            return count, ({"point": show_value(p), "error": str(err)}, "")
+        if failure is not None:
+            return count, failure
+    return count, None
+
+
+def _report(kind: str, points: int, truncated: bool, failure,
+            phase: str = "components", detail: str = "") -> Report:
+    """The report of a walk; detail, when given, replaces the failure's."""
+    if failure is None:
+        return Report(kind, True, points, truncated, phase)
+    counterexample, found = failure
+    return Report(kind, False, points, truncated, phase, counterexample, detail or found)
+
+
+def _check_same_categories(ends, other_ends) -> None:
+    """Two sides can be compared only between the same categories."""
+    for mine, theirs, what in zip(ends, other_ends, ("domains", "codomains")):
+        if mine != theirs:
+            raise TypecheckError(f"cannot compare functors with different {what}")
 
 
 def _sharing(check):
@@ -811,55 +831,37 @@ def _sharing(check):
 def equal_fun(f: FunExpr, g: FunExpr, bud: Budget) -> Report:
     """Pointwise equality of two functor expressions on objects and
     morphisms of their shared domain."""
-    dom = fun_dom(f)
-    if fun_dom(g) != dom:
-        raise TypecheckError("cannot compare functors with different domains")
-    objs, t1 = enumerate_objects(dom, bud)
-    mors, t2 = enumerate_morphisms(dom, bud)
-    return _equal_on(f, g, objs, mors, t1 or t2)
+    ends = _fun_endpoints_cached(f)
+    _check_same_categories(ends, _fun_endpoints_cached(g))
+    objs, t1 = enumerate_objects(ends[0], bud)
+    mors, t2 = enumerate_morphisms(ends[0], bud)
+    points, failure = _equal_on(f, g, objs, mors)
+    return _report("equal-fun", points, t1 or t2, failure)
 
 
-def _equal_on(f: FunExpr, g: FunExpr, objs, mors, truncated: bool,
-              values: Optional[list] = None) -> Report:
-    """Compare f and g at the given objects, then at the given morphisms,
-    stopping at the first failing point.  When f == g each point is
-    evaluated once: the comparison cannot fail, but an evaluation error
-    still can.  The values of f at the objects are appended to values."""
+def _equal_on(f: FunExpr, g: FunExpr, objs, mors, values: Optional[list] = None,
+              count: int = 0) -> tuple:
+    """Walk f and g over the given objects, then the given morphisms, and
+    return what _first_failure does.  When f == g each point is evaluated
+    once: the comparison cannot fail, but an evaluation error still can.
+    The values of f at the objects are appended to values."""
     same = f == g
-    points = 0
-    for o in objs:
-        points += 1
-        try:
-            a = eval_fun(f, o)
-            b = a if same else eval_fun(g, o)
-        except _EVAL_ERRORS as err:
-            return Report(
-                "equal-fun", False, points, truncated,
-                counterexample={"point": show_value(o), "error": str(err)},
-            )
+
+    def compare(evaluate, note, keep, v):
+        a = evaluate(f, v)
+        b = a if same else evaluate(g, v)
         if a != b:
-            return Report(
-                "equal-fun", False, points, truncated,
-                counterexample=_counterexample(o, a, b),
-            )
-        if values is not None:
+            return _counterexample(v, a, b, note), ""
+        if keep:
             values.append(a)
-    for m in mors:
-        points += 1
-        try:
-            a = eval_fun_mor(f, m)
-            b = a if same else eval_fun_mor(g, m)
-        except _EVAL_ERRORS as err:
-            return Report(
-                "equal-fun", False, points, truncated,
-                counterexample={"point": show_value(m), "error": str(err)},
-            )
-        if a != b:
-            return Report(
-                "equal-fun", False, points, truncated,
-                counterexample=_counterexample(m, a, b, note="on a morphism"),
-            )
-    return Report("equal-fun", True, points, truncated)
+        return None
+
+    count, failure = _first_failure(
+        objs, partial(compare, eval_fun, "", values is not None), count)
+    if failure is None:
+        count, failure = _first_failure(
+            mors, partial(compare, eval_fun_mor, "on a morphism", False), count)
+    return count, failure
 
 
 @_sharing
@@ -870,54 +872,36 @@ def equal_cell(a: CellExpr, b: CellExpr, bud: Budget) -> Report:
     components are checked against the endpoint values those phases
     computed at each object."""
     sa, ta, dom, cod = _facts(a)
-    sb, tb, dom_b, _ = _facts(b)
+    sb, tb, *cats_b = _facts(b)
     # a cell's target runs between the categories of its source
-    if dom_b != dom:
-        raise TypecheckError("cannot compare functors with different domains")
+    _check_same_categories((dom, cod), cats_b)
     objs, t_objs = enumerate_objects(dom, bud)
     mors, t_mors = enumerate_morphisms(dom, bud)
     truncated = t_objs or t_mors
-    src_values: list = []
-    src_report = _equal_on(sa, sb, objs, mors, truncated, src_values)
-    if not src_report.passed:
-        return Report(
-            "equal-cell", False, src_report.points, truncated,
-            phase="endpoints-source", counterexample=src_report.counterexample,
-            detail="source 1-cells disagree",
-        )
-    tgt_values: list = []
-    tgt_report = _equal_on(ta, tb, objs, mors, truncated, tgt_values)
-    if not tgt_report.passed:
-        return Report(
-            "equal-cell", False,
-            src_report.points + tgt_report.points, truncated,
-            phase="endpoints-target", counterexample=tgt_report.counterexample,
-            detail="target 1-cells disagree",
-        )
+    values = ([], [])
+    points = 0
+    for end, sides, kept in zip(("source", "target"), ((sa, sb), (ta, tb)), values):
+        points, failure = _equal_on(*sides, objs, mors, kept, points)
+        if failure is not None:
+            return _report("equal-cell", points, truncated, failure,
+                           f"endpoints-{end}", f"{end} 1-cells disagree")
     cod_level = level_of(cod)
-    points = src_report.points + tgt_report.points
-    for o, want_src, want_tgt in zip(objs, src_values, tgt_values):
-        points += 1
-        try:
-            left, right = eval_cell(a, o), eval_cell(b, o)
-            drift = _endpoint_drift(cod_level, left, want_src, want_tgt)
-        except _EVAL_ERRORS as err:
-            return Report(
-                "equal-cell", False, points, t_objs,
-                counterexample={"point": show_value(o), "error": str(err)},
-            )
+    # the walk visits objs in order, so the endpoint values follow it
+    wants = zip(*values)
+
+    def compare(o):
+        left, right = eval_cell(a, o), eval_cell(b, o)
+        drift = _endpoint_drift(cod_level, left, *next(wants))
         if drift:
-            return Report(
-                "equal-cell", False, points, t_objs,
-                counterexample={"point": show_value(o), "left": show_value(left)},
-                detail=f"component endpoints drift: {drift}",
-            )
+            return ({"point": show_value(o), "left": show_value(left)},
+                    f"component endpoints drift: {drift}")
         if left != right:
-            return Report(
-                "equal-cell", False, points, t_objs,
-                counterexample=_counterexample(o, left, right),
-            )
-    return Report("equal-cell", True, points, truncated)
+            return _counterexample(o, left, right), ""
+        return None
+
+    points, failure = _first_failure(objs, compare, points)
+    # a failing component says whether the objects alone were sampled
+    return _report("equal-cell", points, t_objs if failure else truncated, failure)
 
 
 def _endpoint_drift(lev: CatExpr, component, want_src, want_tgt) -> str:
@@ -936,21 +920,14 @@ def check_naturality(alpha: CellExpr, bud: Budget) -> Report:
     dom_level = level_of(dom)
     cod_level = level_of(cod)
     mors, truncated = enumerate_morphisms(dom, bud)
-    points = 0
-    for m in mors:
-        points += 1
+
+    def compare(m):
         x, y = dom_level.src(m), dom_level.tgt(m)
-        try:
-            left = cod_level.comp(eval_cell(alpha, y), eval_fun_mor(s, m))
-            right = cod_level.comp(eval_fun_mor(t, m), eval_cell(alpha, x))
-        except _EVAL_ERRORS as err:
-            return Report(
-                "naturality", False, points, truncated,
-                counterexample={"point": show_value(m), "error": str(err)},
-            )
+        left = cod_level.comp(eval_cell(alpha, y), eval_fun_mor(s, m))
+        right = cod_level.comp(eval_fun_mor(t, m), eval_cell(alpha, x))
         if left != right:
-            return Report(
-                "naturality", False, points, truncated,
-                counterexample=_counterexample(m, left, right),
-            )
-    return Report("naturality", True, points, truncated)
+            return _counterexample(m, left, right), ""
+        return None
+
+    points, failure = _first_failure(mors, compare)
+    return _report("naturality", points, truncated, failure)

@@ -6,6 +6,9 @@ correctness is anchored by test_freesmc; here the focus is endpoints,
 enumeration order and counts, report determinism, and counterexamples.
 """
 
+import ast
+import contextlib
+import inspect
 import itertools
 import json
 import math
@@ -67,9 +70,10 @@ from shufflecat.calculus import (
     typecheck,
 )
 from shufflecat.fincat import FunTable, load_fincat
-from shufflecat.mutations import inject
+from shufflecat.mutations import MUTATIONS, inject
 from shufflecat.freesmc import SeqMor, SeqObj, identity_seq, omega, omega_n, seq, strength_ti
 from shufflecat.perms import Perm, all_perms, identity, invert
+from test_typecheck import cells as typecheck_cells
 
 DISC2 = load_fincat(
     {"name": "discrete2", "objects": ["x", "y"], "morphisms": [], "compose": []}
@@ -377,6 +381,17 @@ def test_equal_fun_domain_mismatch_is_error():
         equal_fun(Identity(A), Identity(W), BUD)
 
 
+def test_sides_with_different_codomains_are_not_compared():
+    # both sides send every point to x and its identity, named alike in
+    # the arrow and in the discrete category
+    f, g = Const(W, W, "x"), Const(W, A, "x")
+    message = "^cannot compare functors with different codomains$"
+    with pytest.raises(TypecheckError, match=message):
+        equal_fun(f, g, BUD)
+    with pytest.raises(TypecheckError, match=message):
+        equal_cell(IdCell(f), IdCell(g), BUD)
+
+
 def test_equal_cell_reflexive():
     g = Gamma((A, A))
     report = equal_cell(g, g, BUD)
@@ -424,12 +439,16 @@ def test_exchange_law():
     assert eval_cell(h, x) == other
 
 
+def _json(report):
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
 def test_reports_deterministic_bytes():
     b = Budget(max_seq_len=2, max_points=40, seed=7)
     r1 = equal_cell(Gamma((A, A)), Gamma((A, A)), b)
     r2 = equal_cell(Gamma((A, A)), Gamma((A, A)), b)
-    assert r1.to_json() == r2.to_json()
-    parsed = json.loads(r1.to_json())
+    assert _json(r1) == _json(r2)
+    parsed = json.loads(_json(r1))
     assert parsed["passed"] is True
 
 
@@ -551,7 +570,7 @@ def test_equal_cell_enumerates_once_and_keeps_reports(monkeypatch, phase, bud):
     mors = _count_calls(monkeypatch, "enumerate_morphisms")
     got = equal_cell(a, b, bud)
     assert (len(objs), len(mors)) == (1, 1)
-    assert got.to_json() == want.to_json()
+    assert _json(got) == _json(want)
     assert got.passed == (phase == "passing")
     if not got.passed:
         assert got.phase == phase
@@ -631,7 +650,7 @@ def test_raising_entry_gives_the_memo_free_report():
     g = Compose((f, Identity(Free(W))))
     objs, t_objs = enumerate_objects(Free(W), BUD)
     mors, t_mors = enumerate_morphisms(Free(W), BUD)
-    want = calculus._equal_on(f, g, objs, mors, t_objs or t_mors)
+    want = old_equal_on(f, g, objs, mors, t_objs or t_mors)
     got = equal_fun(f, g, BUD)
     assert not got.passed and "error" in got.counterexample
     assert got == want
@@ -698,6 +717,231 @@ def test_shared_enumeration_equals_the_memo_free_reference(c, bud, sampled):
     assert enumerate_objects(c, bud) == want_objs
     assert enumerate_morphisms(c, bud) == want_mors
     assert want_objs[1] == want_mors[1] == sampled
+
+
+# ------------------------------------------------- one walk, against an oracle
+#
+# The checkers as they were when each wrote its own point loop and built
+# its own reports.  The checkers that share one walk and one report
+# builder must give the same report, or raise the same error, clean and
+# under every mutation.
+
+
+def old_equal_on(f, g, objs, mors, truncated, values=None):
+    same = f == g
+    points = 0
+    for o in objs:
+        points += 1
+        try:
+            a = eval_fun(f, o)
+            b = a if same else eval_fun(g, o)
+        except calculus._EVAL_ERRORS as err:
+            return calculus.Report(
+                "equal-fun", False, points, truncated,
+                counterexample={"point": calculus.show_value(o), "error": str(err)},
+            )
+        if a != b:
+            return calculus.Report(
+                "equal-fun", False, points, truncated,
+                counterexample=calculus._counterexample(o, a, b),
+            )
+        if values is not None:
+            values.append(a)
+    for m in mors:
+        points += 1
+        try:
+            a = eval_fun_mor(f, m)
+            b = a if same else eval_fun_mor(g, m)
+        except calculus._EVAL_ERRORS as err:
+            return calculus.Report(
+                "equal-fun", False, points, truncated,
+                counterexample={"point": calculus.show_value(m), "error": str(err)},
+            )
+        if a != b:
+            return calculus.Report(
+                "equal-fun", False, points, truncated,
+                counterexample=calculus._counterexample(m, a, b, note="on a morphism"),
+            )
+    return calculus.Report("equal-fun", True, points, truncated)
+
+
+@calculus._sharing
+def old_equal_fun(f, g, bud):
+    dom = calculus.fun_dom(f)
+    if calculus.fun_dom(g) != dom:
+        raise TypecheckError("cannot compare functors with different domains")
+    objs, t1 = enumerate_objects(dom, bud)
+    mors, t2 = enumerate_morphisms(dom, bud)
+    return old_equal_on(f, g, objs, mors, t1 or t2)
+
+
+@calculus._sharing
+def old_equal_cell(a, b, bud):
+    sa, ta, dom, cod = calculus._facts(a)
+    sb, tb, dom_b, _ = calculus._facts(b)
+    if dom_b != dom:
+        raise TypecheckError("cannot compare functors with different domains")
+    objs, t_objs = enumerate_objects(dom, bud)
+    mors, t_mors = enumerate_morphisms(dom, bud)
+    truncated = t_objs or t_mors
+    src_values: list = []
+    src_report = old_equal_on(sa, sb, objs, mors, truncated, src_values)
+    if not src_report.passed:
+        return calculus.Report(
+            "equal-cell", False, src_report.points, truncated,
+            phase="endpoints-source", counterexample=src_report.counterexample,
+            detail="source 1-cells disagree",
+        )
+    tgt_values: list = []
+    tgt_report = old_equal_on(ta, tb, objs, mors, truncated, tgt_values)
+    if not tgt_report.passed:
+        return calculus.Report(
+            "equal-cell", False,
+            src_report.points + tgt_report.points, truncated,
+            phase="endpoints-target", counterexample=tgt_report.counterexample,
+            detail="target 1-cells disagree",
+        )
+    cod_level = level_of(cod)
+    points = src_report.points + tgt_report.points
+    for o, want_src, want_tgt in zip(objs, src_values, tgt_values):
+        points += 1
+        try:
+            left, right = eval_cell(a, o), eval_cell(b, o)
+            drift = calculus._endpoint_drift(cod_level, left, want_src, want_tgt)
+        except calculus._EVAL_ERRORS as err:
+            return calculus.Report(
+                "equal-cell", False, points, t_objs,
+                counterexample={"point": calculus.show_value(o), "error": str(err)},
+            )
+        if drift:
+            return calculus.Report(
+                "equal-cell", False, points, t_objs,
+                counterexample={"point": calculus.show_value(o),
+                                "left": calculus.show_value(left)},
+                detail=f"component endpoints drift: {drift}",
+            )
+        if left != right:
+            return calculus.Report(
+                "equal-cell", False, points, t_objs,
+                counterexample=calculus._counterexample(o, left, right),
+            )
+    return calculus.Report("equal-cell", True, points, truncated)
+
+
+@calculus._sharing
+def old_check_naturality(alpha, bud):
+    s, t, dom, cod = calculus._facts(alpha)
+    dom_level = level_of(dom)
+    cod_level = level_of(cod)
+    mors, truncated = enumerate_morphisms(dom, bud)
+    points = 0
+    for m in mors:
+        points += 1
+        x, y = dom_level.src(m), dom_level.tgt(m)
+        try:
+            left = cod_level.comp(eval_cell(alpha, y), eval_fun_mor(s, m))
+            right = cod_level.comp(eval_fun_mor(t, m), eval_cell(alpha, x))
+        except calculus._EVAL_ERRORS as err:
+            return calculus.Report(
+                "naturality", False, points, truncated,
+                counterexample={"point": calculus.show_value(m), "error": str(err)},
+            )
+        if left != right:
+            return calculus.Report(
+                "naturality", False, points, truncated,
+                counterexample=calculus._counterexample(m, left, right),
+            )
+    return calculus.Report("naturality", True, points, truncated)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).to_dict()
+    except calculus.CalcError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+# budgets that walk small domains in full and sample the larger ones
+SMALL_BUDGETS = st.builds(
+    Budget,
+    max_seq_len=st.integers(1, 2),
+    max_points=st.sampled_from([8, 60]),
+    seed=st.integers(0, 9),
+)
+
+
+def _checks_of(cell):
+    """The checks of a cell against itself and, when it is well typed,
+    against its square and the identities on its source and target, whose
+    categories are its own, so that every phase of equal_cell can fail;
+    then its source against its target as functors."""
+    checks = [(equal_cell, old_equal_cell, cell, cell),
+              (check_naturality, old_check_naturality, cell)]
+    try:
+        s, t = cell_endpoints(cell)
+    except TypecheckError:
+        return checks
+    return checks + [(equal_cell, old_equal_cell, VComp((cell, cell)), cell),
+                     (equal_cell, old_equal_cell, IdCell(t), cell),
+                     (equal_cell, old_equal_cell, IdCell(s), cell),
+                     (equal_fun, old_equal_fun, s, t)]
+
+
+# two parallel arrows, and the functor that swaps them: it fixes every
+# object, so the sides first differ at a morphism
+PAR = load_fincat({"name": "par", "objects": ["x", "y"],
+                   "morphisms": [{"id": "f", "src": "x", "tgt": "y"},
+                                 {"id": "g", "src": "x", "tgt": "y"}],
+                   "compose": []})
+SWAP = ApplyT(FunBase(FunTable(PAR, PAR, {"x": "x", "y": "y"},
+                               {"f": "g", "g": "f", "id_x": "id_x", "id_y": "id_y"})))
+# no image for y: evaluation raises at the first point that holds one
+PARTIAL = ApplyT(FunBase(FunTable(ARROW, ARROW, {"x": "x"}, {"id_x": "id_x"})))
+# an idempotent e on x with e;f = e;g = g, and a map that sends id_x to e:
+# whiskered by it, an identity cell has the component e at x, and its
+# square at f reads f on one side and g on the other
+IDEM = load_fincat({"name": "idem", "objects": ["x", "y"],
+                    "morphisms": [{"id": "e", "src": "x", "tgt": "x"},
+                                  {"id": "f", "src": "x", "tgt": "y"},
+                                  {"id": "g", "src": "x", "tgt": "y"}],
+                    "compose": [{"first": "e", "second": "e", "result": "e"},
+                                {"first": "e", "second": "f", "result": "g"},
+                                {"first": "e", "second": "g", "result": "g"}]})
+UNNATURAL = WhiskerR(IdCell(Identity(CatBase(IDEM))), FunBase(FunTable(
+    IDEM, IDEM, {"x": "x", "y": "y"},
+    {"id_x": "e", "id_y": "id_y", "e": "e", "f": "f", "g": "g"})))
+KNOWN_CHECKS = _checks_of(Gamma((W, W))) + _checks_of(GammaInv((W, W, W), 1, 3)) + [
+    (equal_fun, old_equal_fun, Identity(Free(CatBase(PAR))), SWAP),
+    (equal_cell, old_equal_cell, IdCell(Identity(Free(CatBase(PAR)))), IdCell(SWAP)),
+    (equal_cell, old_equal_cell, IdCell(PARTIAL), IdCell(_identical_twin(PARTIAL))),
+    (check_naturality, old_check_naturality, WhiskerL(Tuple((PARTIAL, PARTIAL)), G)),
+    (check_naturality, old_check_naturality, UNNATURAL),
+    (check_naturality, old_check_naturality, ApplyTCell(UNNATURAL)),
+]
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(MUTATIONS)])
+@settings(max_examples=15, deadline=None)
+@given(checks=typecheck_cells().map(_checks_of), bud=SMALL_BUDGETS)
+@example(checks=KNOWN_CHECKS, bud=Budget(max_seq_len=2, max_points=60, seed=3))
+@example(checks=KNOWN_CHECKS, bud=Budget(max_seq_len=2, max_points=8, seed=1))
+def test_one_walk_reports_what_the_old_checkers_did(mutation, checks, bud):
+    with inject(mutation) if mutation else contextlib.nullcontext():
+        for new, old, *sides in checks:
+            assert _outcome(new, *sides, bud) == _outcome(old, *sides, bud)
+
+
+def test_reports_are_built_in_one_helper():
+    tree = ast.parse(inspect.getsource(calculus))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_report")
+
+    def report_calls(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "Report"]
+
+    assert report_calls(helper)
+    assert report_calls(tree) == report_calls(helper)
 
 
 # ------------------------------------------------- numbering, against an oracle
