@@ -591,15 +591,10 @@ def _compose_mor(f: Compose, m):
     return m
 
 
-def _strength_mor(f: Strength, m):
-    # strength_ti_mor never reads the category of the freed slot, so the
-    # slots themselves serve
-    return strength_ti_mor(f.slots, len(f.slots), f.i, m)
-
-
-def _monoid_mult_mor(f: MonoidMult, m):
-    sources = tuple(f.monoid.cat.src(c) for c in m)
-    return f.monoid.cat.identity(f.monoid.fold(sources))
+def _monoid_mor(f: Union[MonoidEval, MonoidMult], mors):
+    """The identity on the product of the sources of mors."""
+    cat = f.monoid.cat
+    return cat.identity(f.monoid.fold(map(cat.src, mors)))
 
 
 def _tfun(inner: FunExpr) -> Fun:
@@ -653,17 +648,20 @@ _FUN_ACTIONS = {
         lambda f, x: tmap(_tfun(f.inner), x),
         lambda f, m: tmap(_tfun(f.inner), m),
     ),
-    Eta: (lambda f, x: eta(x), lambda f, m: eta_mor(level_of(f.cat), m)),
+    Eta: (lambda f, x: eta(x), lambda f, m: eta_mor(m)),
     Mu: (lambda f, x: mu(x), lambda f, m: mu_mor(m)),
-    Strength: (lambda f, x: strength_ti(len(f.slots), f.i, x), _strength_mor),
+    Strength: (
+        lambda f, x: strength_ti(len(f.slots), f.i, x),
+        lambda f, m: strength_ti_mor(len(f.slots), f.i, m),
+    ),
     Omega: (lambda f, x: omega_n(x), lambda f, m: omega_n_mor(m)),
     FunBase: (lambda f, x: f.table.on_obj(x), lambda f, m: f.table.on_mor(m)),
     Const: (lambda f, x: f.obj, lambda f, m: level_of(f.cod).identity(f.obj)),
     MonoidEval: (
         lambda f, x: f.monoid.fold(x.entries),
-        lambda f, m: f.monoid.cat.identity(f.monoid.fold(m.source.entries)),
+        lambda f, m: _monoid_mor(f, m.components),
     ),
-    MonoidMult: (lambda f, x: f.monoid.fold(x), _monoid_mult_mor),
+    MonoidMult: (lambda f, x: f.monoid.fold(x), _monoid_mor),
 }
 
 
@@ -716,10 +714,8 @@ def _hcomp_component(e: HComp, x):
 
 
 def _applyt_component(e: ApplyTCell, x):
-    # the endpoints of e are T applied to those of e.cell
-    s, t, _, _ = _facts(e)
-    comps = tuple(eval_cell(e.cell, v) for v in x.entries)
-    return SeqMor(eval_fun(s, x), eval_fun(t, x), perm_identity(len(comps)), comps)
+    comps = tuple([eval_cell(e.cell, v) for v in x.entries])
+    return SeqMor(perm_identity(len(comps)), comps)
 
 
 _CELL_ACTIONS = {

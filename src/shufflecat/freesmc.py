@@ -7,9 +7,11 @@ morphisms re-indexes the outer components through the inner permutation.
 
 Category expressions (CatBase, Prod, Free) live here and supply their own
 identities, composition and endpoints: the free category on C takes those
-of its entries from C, so sequences nest to any depth.  They also number
-their own objects and morphisms, with one mixed-radix decoder for products
-and sequences.  The calculus module re-exports them.
+of its entries from C, so sequences nest to any depth.  A sequence
+morphism holds only its permutation and components, and Free.src and
+Free.tgt derive its endpoints from theirs.  Category expressions also
+number their own objects and morphisms, with one mixed-radix decoder for
+products and sequences.  The calculus module re-exports them.
 
 Public construction (``SeqObj``, ``SeqMor``, ``seq``) validates its
 arguments; the kernels build their results through the unchecked internal
@@ -29,13 +31,12 @@ SeqObj(('x', 'y', 'x'))
 >>> strength_ti(2, 2, ("a", seq(("b1", "b2")))).entries
 (('a', 'b1'), ('a', 'b2'))
 >>> x, y = seq(("a1", "a2")), seq(("b1", "b2"))
->>> omega(x, y).entries
+>>> omega_n((x, y)).entries
 (('a1', 'b1'), ('a1', 'b2'), ('a2', 'b1'), ('a2', 'b2'))
->>> omega_prime(x, y).entries
-(('a1', 'b1'), ('a2', 'b1'), ('a1', 'b2'), ('a2', 'b2'))
 
-The interchange from the row-major to the column-major interleaving is pure
-shuffling; on a pair of 2-entry sequences it transposes the middle:
+The interchange from this row-major interleaving to the column-major one,
+where the first sequence varies fastest, is pure shuffling; on a pair of
+2-entry sequences it transposes the middle:
 
 >>> lab = load_fincat({"name": "lab", "objects": ["a1", "a2", "b1", "b2"],
 ...                    "morphisms": [], "compose": []})
@@ -55,7 +56,7 @@ SeqObj(('y', 'x'))
 >>> arrow.all_morphisms()
 ('id_x', 'id_y', 'f')
 >>> m = free.morphism_at(bud, 1 + 3 + 1 * 9 + (1 * 3 + 2))
->>> m.perm, m.components, m.target
+>>> m.perm, m.components, free.tgt(m)
 (Perm((2, 1)), ('id_y', 'f'), SeqObj(('y', 'y')))
 """
 
@@ -98,21 +99,16 @@ def seq(entries) -> SeqObj:
 class SeqMor:
     """A permutation plus one component morphism per source entry.
 
-    components[i-1] runs from source entry i to target entry perm(i).
+    components[i-1] runs from source entry i to target entry perm(i), so
+    the endpoints are not stored: the category of the components supplies
+    them, and Free.src and Free.tgt place them.
     """
 
-    source: SeqObj
-    target: SeqObj
     perm: Perm
     components: tuple
 
     def __post_init__(self):
-        n = len(self.source.entries)
-        if len(self.target.entries) != n:
-            raise ValueError("source and target lengths differ")
-        if self.perm.degree != n:
-            raise ValueError("permutation degree does not match length")
-        if len(self.components) != n:
+        if self.perm.degree != len(self.components):
             raise ValueError("need one component per entry")
 
 
@@ -126,11 +122,9 @@ def _obj(entries: tuple) -> SeqObj:
     return o
 
 
-def _mor(source: SeqObj, target: SeqObj, perm: Perm, components: tuple) -> SeqMor:
-    """A SeqMor of parts whose lengths and degree agree, unchecked."""
+def _mor(perm: Perm, components: tuple) -> SeqMor:
+    """A SeqMor of a permutation and as many components, unchecked."""
     m = _new(SeqMor)
-    _set(m, "source", source)
-    _set(m, "target", target)
     _set(m, "perm", perm)
     _set(m, "components", components)
     return m
@@ -246,10 +240,10 @@ class Free(CatExpr):
         return compose_seq(self.inner, m2, m1)
 
     def src(self, m):
-        return m.source
+        return _src(self.inner, m)
 
     def tgt(self, m):
-        return m.target
+        return _tgt(self.inner, m)
 
     def free_depth(self) -> int:
         return 1 + self.inner.free_depth()
@@ -267,20 +261,27 @@ class Free(CatExpr):
             if index < size:
                 rank, index = divmod(index, block)
                 entries = _decode(index, ((inner, radix),) * l, bud, mor, table)
-                if not mor:
-                    return SeqObj(entries)
-                perm, target = all_perms(l)[rank], [None] * l
-                for i, c in zip(perm.images, entries):
-                    target[i - 1] = inner.tgt(c)
-                source = SeqObj(tuple([inner.src(c) for c in entries]))
-                return SeqMor(source, SeqObj(tuple(target)), perm, entries)
+                return _mor(all_perms(l)[rank], entries) if mor else _obj(entries)
             index -= size
         raise IndexError(f"{'morphism' if mor else 'object'} index out of range")
 
 
+def _src(inner: CatExpr, m: SeqMor) -> SeqObj:
+    """Source entry i is the source of component i."""
+    return _obj(tuple(map(inner.src, m.components)))
+
+
+def _tgt(inner: CatExpr, m: SeqMor) -> SeqObj:
+    """Target entry perm(i) is the target of component i."""
+    out = [None] * len(m.components)
+    for i, c in zip(m.perm.images, m.components):
+        out[i - 1] = inner.tgt(c)
+    return _obj(tuple(out))
+
+
 def identity_seq(inner: CatExpr, x: SeqObj) -> SeqMor:
     entries = x.entries
-    return _mor(x, x, identity(len(entries)), tuple([inner.identity(e) for e in entries]))
+    return _mor(identity(len(entries)), tuple([inner.identity(e) for e in entries]))
 
 
 def sym_mor(inner: CatExpr, x: SeqObj, sigma: Perm) -> SeqMor:
@@ -289,15 +290,13 @@ def sym_mor(inner: CatExpr, x: SeqObj, sigma: Perm) -> SeqMor:
     Its source lists the entries of x rearranged so that source entry i is
     x's entry sigma(i); the components are identities.
     """
-    source = SeqObj(permute(x.entries, sigma))
-    comps = tuple(inner.identity(e) for e in source.entries)
-    return SeqMor(source, x, sigma, comps)
+    return SeqMor(sigma, tuple(inner.identity(e) for e in permute(x.entries, sigma)))
 
 
 def compose_seq(inner: CatExpr, m2: SeqMor, m1: SeqMor) -> SeqMor:
     """m1 followed by m2; the second batch of components is re-indexed
     through m1's permutation before composing entrywise."""
-    if m1.target != m2.source:
+    if _tgt(inner, m1) != _src(inner, m2):
         raise ValueError("cannot compose: endpoints do not meet")
     if _ACTIVE_MUTATION == "compose-reindexing":
         comps = tuple(map(inner.comp, m2.components, m1.components))
@@ -306,7 +305,7 @@ def compose_seq(inner: CatExpr, m2: SeqMor, m1: SeqMor) -> SeqMor:
         comps = tuple(
             [inner.comp(c2[j - 1], c1) for j, c1 in zip(m1.perm.images, m1.components)]
         )
-    return _mor(m1.source, m2.target, compose(m2.perm, m1.perm), comps)
+    return _mor(compose(m2.perm, m1.perm), comps)
 
 
 # ------------------------------------------------------------------ functor
@@ -322,15 +321,9 @@ class Fun:
 
 def tmap(fun: Fun, x):
     """Apply a functor entrywise to a SeqObj or SeqMor."""
-    on_obj = fun.on_obj
     if isinstance(x, SeqObj):
-        return _obj(tuple(map(on_obj, x.entries)))
-    return _mor(
-        _obj(tuple(map(on_obj, x.source.entries))),
-        _obj(tuple(map(on_obj, x.target.entries))),
-        x.perm,
-        tuple(map(fun.on_mor, x.components)),
-    )
+        return _obj(tuple(map(fun.on_obj, x.entries)))
+    return _mor(x.perm, tuple(map(fun.on_mor, x.components)))
 
 
 # ------------------------------------------------------------------ monad
@@ -340,8 +333,8 @@ def eta(a) -> SeqObj:
     return _obj((a,))
 
 
-def eta_mor(inner: CatExpr, f) -> SeqMor:
-    return _mor(_obj((inner.src(f),)), _obj((inner.tgt(f),)), identity(1), (f,))
+def eta_mor(f) -> SeqMor:
+    return _mor(identity(1), (f,))
 
 
 def mu(s: SeqObj) -> SeqObj:
@@ -360,7 +353,7 @@ def mu_mor(m: SeqMor) -> SeqMor:
     comps = []
     for c in m.components:
         comps.extend(c.components)
-    return _mor(mu(m.source), mu(m.target), p, tuple(comps))
+    return _mor(p, tuple(comps))
 
 
 # ------------------------------------------------------------------ strength
@@ -397,42 +390,27 @@ def strength_ti(n: int, i: int, args: tuple) -> SeqObj:
     return _obj(_splice(n, i, args[: i - 1], args[i:], entries, mut == "strength-slot-index"))
 
 
-def strength_ti_mor(levels: tuple, n: int, i: int, margs: tuple) -> SeqMor:
-    """Morphism action of strength_ti.  levels[k] supplies endpoints for the
-    plain slots; the entry for slot i is unused and may be None."""
-    if len(margs) != n or len(levels) != n:
+def strength_ti_mor(n: int, i: int, margs: tuple) -> SeqMor:
+    """Morphism action of strength_ti: the permutation of the sequence
+    morphism in slot i, with the other slots distributed over its
+    components."""
+    if len(margs) != n:
         raise ValueError("argument count does not match arity")
     if not 1 <= i <= n:
         raise ValueError("slot out of range")
-    m, before, after = margs[i - 1], range(i - 1), range(i, n)
-    src_head = tuple([levels[k].src(margs[k]) for k in before])
-    src_tail = tuple([levels[k].src(margs[k]) for k in after])
-    tgt_head = tuple([levels[k].tgt(margs[k]) for k in before])
-    tgt_tail = tuple([levels[k].tgt(margs[k]) for k in after])
+    m = margs[i - 1]
+    perm, comps = m.perm, m.components
     mut = _ACTIVE_MUTATION
-    slot_fault = mut == "strength-slot-index"
-    sources, targets = m.source.entries, m.target.entries
     if mut == "strength-entry-order":
-        sources, targets = sources[::-1], targets[::-1]
-    return _mor(
-        _obj(_splice(n, i, src_head, src_tail, sources, slot_fault)),
-        _obj(_splice(n, i, tgt_head, tgt_tail, targets, slot_fault)),
-        m.perm,
-        _splice(n, i, margs[: i - 1], margs[i:], m.components, slot_fault),
-    )
+        # both endpoints reversed: entry k is entry l+1-k, sent to the
+        # reversal l+1-perm(l+1-k) of its old slot
+        l = len(comps)
+        perm, comps = _perm(tuple([l + 1 - j for j in perm.images[::-1]])), comps[::-1]
+    slot_fault = mut == "strength-slot-index"
+    return _mor(perm, _splice(n, i, margs[: i - 1], margs[i:], comps, slot_fault))
 
 
 # ------------------------------------------------------------------ omega
-
-
-def omega(x: SeqObj, y: SeqObj) -> SeqObj:
-    """Row-major interleaving: vary the second sequence fastest."""
-    return _obj(tuple([(a, b) for a in x.entries for b in y.entries]))
-
-
-def omega_prime(x: SeqObj, y: SeqObj) -> SeqObj:
-    """Column-major interleaving: vary the first sequence fastest."""
-    return _obj(tuple([(a, b) for b in y.entries for a in x.entries]))
 
 
 def omega_n(xs: tuple) -> SeqObj:
@@ -450,13 +428,7 @@ def omega_n_mor(ms: tuple) -> SeqMor:
         l = len(m.components)
         ranks = [r * l + (j - 1) for r in ranks for j in m.perm.images]
     images = tuple([r + 1 for r in ranks])
-    comps = tuple(itertools.product(*[m.components for m in ms]))
-    return _mor(
-        omega_n(tuple([m.source for m in ms])),
-        omega_n(tuple([m.target for m in ms])),
-        _perm(images),
-        comps,
-    )
+    return _mor(_perm(images), tuple(itertools.product(*[m.components for m in ms])))
 
 
 def omega_sigma(sigma: Perm, xs: tuple) -> SeqObj:
@@ -491,11 +463,9 @@ def gamma_component(alev: CatExpr, blev: CatExpr, x: SeqObj, y: SeqObj) -> SeqMo
     p = _perm(images)
     if _ACTIVE_MUTATION == "gamma-transpose-direction":
         p = invert(p)
-    source = omega(x, y)
-    comps = tuple(
-        [(alev.identity(a), blev.identity(b)) for a, b in source.entries]
-    )
-    return _mor(source, omega_prime(x, y), p, comps)
+    ids_a = [alev.identity(a) for a in x.entries]
+    ids_b = [blev.identity(b) for b in y.entries]
+    return _mor(p, tuple([(a, b) for a in ids_a for b in ids_b]))
 
 
 def partitions_for(n: int, i: int, j: int):
@@ -537,13 +507,12 @@ def gamma_ij_component(
         mid = gamma_component(lev2, lev3, u, v)
     else:
         mid = gamma_component(lev3, lev2, v, u)
-    outer_levels = levels[:b1] + (None,) + levels[b3:]
     outer_margs = (
         tuple(levels[k].identity(args[k]) for k in range(b1))
         + (mid,)
         + tuple(levels[k].identity(args[k]) for k in range(b3, n))
     )
-    h = strength_ti_mor(outer_levels, n - (b3 - b1) + 1, b1 + 1, outer_margs)
+    h = strength_ti_mor(n - (b3 - b1) + 1, b1 + 1, outer_margs)
     if i < j:
         flat = lambda e: e[:b1] + e[b1][0] + e[b1][1] + e[b1 + 1 :]
     else:

@@ -92,6 +92,7 @@ from .calculus import (
     eval_fun_mor,
     gamma_source,
     prod_map,
+    show_value,
 )
 from .fincat import CommMonoid, FunTable
 from .fixtures import builtin_base, builtin_monoid
@@ -237,11 +238,11 @@ def _mu_functoriality(A: CatExpr, bud: Budget) -> Report:
     mors, truncated = enumerate_morphisms(dom, b2)
     by_src: dict = {}
     for m in mors:
-        by_src.setdefault(m.source, []).append(m)
+        by_src.setdefault(dom.src(m), []).append(m)
     cap = min(bud.max_points, 800)
     count = 0
     for m1 in mors:
-        for m2 in by_src.get(m1.target, ()):
+        for m2 in by_src.get(dom.tgt(m1), ()):
             if count >= cap:
                 truncated = True
                 break
@@ -258,9 +259,10 @@ def _mu_functoriality(A: CatExpr, bud: Budget) -> Report:
                 return Report(
                     kind="fun-equality", passed=False, points=count,
                     truncated=truncated, phase="composition",
-                    counterexample={"first": repr(m1), "second": repr(m2),
-                                    "left": repr(lhs), "right": repr(rhs),
-                                    "note": note})
+                    counterexample={
+                        "first": show_value(m1), "second": show_value(m2),
+                        "left": show_value(lhs), "right": show_value(rhs),
+                        "note": note})
         if count >= cap:
             break
     return Report(kind="fun-equality", passed=True, points=count,

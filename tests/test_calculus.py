@@ -71,7 +71,7 @@ from shufflecat.calculus import (
 )
 from shufflecat.fincat import FunTable, load_fincat
 from shufflecat.mutations import MUTATIONS, inject
-from shufflecat.freesmc import SeqMor, SeqObj, identity_seq, omega, omega_n, seq, strength_ti
+from shufflecat.freesmc import SeqMor, SeqObj, identity_seq, omega_n, seq, strength_ti
 from shufflecat.perms import Perm, all_perms, identity, invert
 from test_typecheck import cells as typecheck_cells
 
@@ -265,7 +265,7 @@ def test_eval_funbase_and_applyt():
     assert eval_fun_mor(fb, "f") == "id_x"
     lifted = ApplyT(fb)
     assert eval_fun(lifted, seq(("x", "y"))) == seq(("x", "x"))
-    m = SeqMor(seq(("x",)), seq(("y",)), identity(1), ("f",))
+    m = SeqMor(identity(1), ("f",))
     assert eval_fun_mor(lifted, m) == identity_seq(level_of(W), seq(("x",)))
 
 
@@ -293,7 +293,7 @@ def test_eval_gamma_singleton_is_identity():
     g = Gamma((A, A))
     x, y = seq(("x",)), seq(("x", "y"))
     got = eval_cell(g, (x, y))
-    assert got == identity_seq(level_of(Prod((A, A))), omega(x, y))
+    assert got == identity_seq(level_of(Prod((A, A))), omega_n((x, y)))
 
 
 def test_eval_gamma_2x2_perm():
@@ -306,7 +306,7 @@ def test_eval_vcomp_gamma_inverse_pair():
     g = VComp((Gamma((A, A)), GammaInv((A, A))))
     x, y = seq(("x", "y")), seq(("x", "y"))
     got = eval_cell(g, (x, y))
-    assert got == identity_seq(level_of(Prod((A, A))), omega(x, y))
+    assert got == identity_seq(level_of(Prod((A, A))), omega_n((x, y)))
 
 
 def test_eval_whiskers():
@@ -402,6 +402,19 @@ def test_equal_cell_endpoint_mismatch_reported():
     report = equal_cell(Gamma((A, A)), GammaInv((A, A)), BUD)
     assert not report.passed
     assert report.phase.startswith("endpoints")
+
+
+def test_equal_cell_sees_a_wrong_component_inside_applyt():
+    # the inverted transpose sends a component into the wrong interleaving
+    # once a sequence has 3 entries; T of the cell holds such components,
+    # and its endpoints are derived from them, so the drift shows there too
+    cell = ApplyTCell(Gamma((A, A)))
+    bud = Budget(max_seq_len=3, max_nest=2, max_points=60, seed=0)
+    assert equal_cell(cell, cell, bud).passed
+    with inject("gamma-transpose-direction"):
+        report = equal_cell(cell, cell, bud)
+    assert not report.passed and report.phase == "components"
+    assert report.detail == "component endpoints drift: target"
 
 
 def test_equal_cell_axiom_eta_left():
@@ -1031,11 +1044,7 @@ def ref_morphism_at(c, bud, index: int):
                 ref_morphism_at(inner, bud, d)
                 for d in (ref_digits(rest, m, l) if l else [])
             )
-            source = seq(tuple(inner.src(x) for x in comps))
-            target = [None] * l
-            for i in range(1, l + 1):
-                target[perm(i) - 1] = inner.tgt(comps[i - 1])
-            return SeqMor(source, seq(tuple(target)), perm, comps)
+            return SeqMor(perm, comps)
         index -= blocksize
     raise IndexError("morphism index out of range")
 

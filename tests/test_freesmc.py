@@ -4,9 +4,9 @@ Oracles here are independent of the implementation: interleavings are
 recomputed with itertools.product, transpose permutations by matching
 uniquely labelled entries, and every strength/interleaving map is checked
 against its defining composite assembled from smaller primitives.  The
-binary strengths, the binary interleavings of morphisms and the inverse
-interchange live here as such oracles, built through the validating public
-constructors.
+binary strengths, the binary interleavings of objects and morphisms and the
+inverse interchange live here as such oracles, built through the validating
+public constructors.
 """
 
 import contextlib
@@ -32,10 +32,8 @@ from shufflecat.freesmc import (
     identity_seq,
     mu,
     mu_mor,
-    omega,
     omega_n,
     omega_n_mor,
-    omega_prime,
     omega_sigma,
     omega_sigma_mor,
     partitions_for,
@@ -68,6 +66,9 @@ LABELS = load_fincat(
     }
 )
 LLEV = CatBase(LABELS)
+# the sequence categories whose endpoints the tests read
+FA, FFA = Free(ALEV), Free(Free(ALEV))
+FA2, FA3 = Free(Prod((ALEV, ALEV))), Free(Prod((ALEV, ALEV, ALEV)))
 
 
 def mors_from(obj):
@@ -80,22 +81,26 @@ def seq_mors(draw, max_len=3):
     source = tuple(draw(st.sampled_from(("x", "y"))) for _ in range(n))
     perm = Perm(tuple(draw(st.permutations(tuple(range(1, n + 1))))))
     comps = tuple(draw(st.sampled_from(mors_from(source[i]))) for i in range(n))
-    target = [None] * n
-    for i in range(1, n + 1):
-        target[perm(i) - 1] = ARROW.tgt(comps[i - 1])
-    return SeqMor(SeqObj(source), SeqObj(tuple(target)), perm, comps)
+    return SeqMor(perm, comps)
 
 
 def extend(m):
     """A morphism composable after m, built entrywise."""
-    comps = tuple(mors_from(e)[-1] for e in m.target.entries)
-    target = [None] * len(comps)
-    for i, c in enumerate(comps):
-        target[i] = ARROW.tgt(c)
-    return SeqMor(m.target, SeqObj(tuple(target)), identity(len(comps)), comps)
+    comps = tuple(mors_from(e)[-1] for e in FA.tgt(m).entries)
+    return SeqMor(identity(len(comps)), comps)
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def omega(x, y):
+    """Row-major interleaving: vary the second sequence fastest."""
+    return SeqObj(tuple((a, b) for a in x.entries for b in y.entries))
+
+
+def omega_prime(x, y):
+    """Column-major interleaving: vary the first sequence fastest."""
+    return SeqObj(tuple((a, b) for b in y.entries for a in x.entries))
 
 
 def strength_t2(a, y):
@@ -104,14 +109,8 @@ def strength_t2(a, y):
     return SeqObj(tuple((a, c) for c in y.entries))
 
 
-def strength_t2_mor(alev, f, m):
-    a0, a1 = alev.src(f), alev.tgt(f)
-    return SeqMor(
-        strength_t2(a0, m.source),
-        strength_t2(a1, m.target),
-        m.perm,
-        tuple((f, c) for c in m.components),
-    )
+def strength_t2_mor(f, m):
+    return SeqMor(m.perm, tuple((f, c) for c in m.components))
 
 
 def strength_t1(x, b):
@@ -119,14 +118,8 @@ def strength_t1(x, b):
     return SeqObj(tuple((c, b) for c in x.entries))
 
 
-def strength_t1_mor(blev, m, g):
-    b0, b1 = blev.src(g), blev.tgt(g)
-    return SeqMor(
-        strength_t1(m.source, b0),
-        strength_t1(m.target, b1),
-        m.perm,
-        tuple((c, g) for c in m.components),
-    )
+def strength_t1_mor(m, g):
+    return SeqMor(m.perm, tuple((c, g) for c in m.components))
 
 
 def omega_mor(p, q):
@@ -136,10 +129,7 @@ def omega_mor(p, q):
         for i in range(1, n + 1)
         for j in range(1, m + 1)
     )
-    comps = tuple((a, b) for a in p.components for b in q.components)
-    return SeqMor(
-        omega(p.source, q.source), omega(p.target, q.target), Perm(images), comps
-    )
+    return SeqMor(Perm(images), tuple((a, b) for a in p.components for b in q.components))
 
 
 def omega_prime_mor(p, q):
@@ -149,19 +139,13 @@ def omega_prime_mor(p, q):
         for j in range(1, m + 1)
         for i in range(1, n + 1)
     )
-    comps = tuple((a, b) for b in q.components for a in p.components)
-    return SeqMor(
-        omega_prime(p.source, q.source),
-        omega_prime(p.target, q.target),
-        Perm(images),
-        comps,
-    )
+    return SeqMor(Perm(images), tuple((a, b) for b in q.components for a in p.components))
 
 
 def gamma_inv_component(alev, blev, x, y):
     g = gamma_component(alev, blev, x, y)
-    ident = identity_seq(Prod((alev, blev)), g.target)
-    return SeqMor(g.target, g.source, invert(g.perm), ident.components)
+    ident = identity_seq(Prod((alev, blev)), omega_prime(x, y))
+    return SeqMor(invert(g.perm), ident.components)
 
 
 # ---------------------------------------------------------------- basics
@@ -169,10 +153,10 @@ def gamma_inv_component(alev, blev, x, y):
 
 def test_eta():
     assert eta("x") == seq(("x",))
-    m = eta_mor(ALEV, "f")
-    assert m.source == seq(("x",)) and m.target == seq(("y",))
+    m = eta_mor("f")
+    assert FA.src(m) == seq(("x",)) and FA.tgt(m) == seq(("y",))
     assert m.perm == identity(1) and m.components == ("f",)
-    assert eta_mor(ALEV, "id_x") == identity_seq(ALEV, eta("x"))
+    assert eta_mor("id_x") == identity_seq(ALEV, eta("x"))
 
 
 def test_identity_and_sym():
@@ -180,17 +164,17 @@ def test_identity_and_sym():
     assert identity_seq(ALEV, x).perm == identity(3)
     rho = Perm((2, 3, 1))
     m = sym_mor(ALEV, x, rho)
-    assert m.target == x
-    assert m.source == seq(permute(x.entries, rho))
+    assert FA.tgt(m) == x
+    assert FA.src(m) == seq(permute(x.entries, rho))
     for i in range(1, 4):
-        assert m.target.entries[m.perm(i) - 1] == m.source.entries[i - 1]
+        assert FA.tgt(m).entries[m.perm(i) - 1] == FA.src(m).entries[i - 1]
 
 
 def test_compose_identity_laws():
     x = seq(("x", "y"))
     m = sym_mor(ALEV, x, SWAP)
-    assert compose_seq(ALEV, m, identity_seq(ALEV, m.source)) == m
-    assert compose_seq(ALEV, identity_seq(ALEV, m.target), m) == m
+    assert compose_seq(ALEV, m, identity_seq(ALEV, FA.src(m))) == m
+    assert compose_seq(ALEV, identity_seq(ALEV, FA.tgt(m)), m) == m
 
 
 def test_compose_pure_symmetries():
@@ -205,17 +189,20 @@ def test_compose_pure_symmetries():
 
 def test_compose_reindexes_components():
     m1 = sym_mor(ALEV, seq(("x", "y")), SWAP)
-    m2 = SeqMor(seq(("x", "y")), seq(("y", "y")), identity(2), ("f", "id_y"))
+    m2 = SeqMor(identity(2), ("f", "id_y"))
     c = compose_seq(ALEV, m2, m1)
-    assert c.source == seq(("y", "x")) and c.target == seq(("y", "y"))
+    assert FA.src(c) == seq(("y", "x")) and FA.tgt(c) == seq(("y", "y"))
     assert c.perm == SWAP
     assert c.components == ("id_y", "f")
 
 
 def test_compose_endpoint_mismatch_raises():
     m = sym_mor(ALEV, seq(("x", "y")), SWAP)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cannot compose: endpoints do not meet$"):
         compose_seq(ALEV, m, m)
+    # each component has a composable partner, but not at its own slot
+    with pytest.raises(ValueError, match=r"^cannot compose: endpoints do not meet$"):
+        compose_seq(ALEV, SeqMor(SWAP, ("f", "id_y")), SeqMor(identity(2), ("f", "id_y")))
 
 
 @settings(max_examples=60)
@@ -243,8 +230,8 @@ def test_mu_mor_outer_swap_blocks():
     flev = Free(ALEV)
     outer = sym_mor(flev, seq((inner2, inner1)), SWAP)
     m = mu_mor(outer)
-    assert m.source == seq(("x", "y", "x"))
-    assert m.target == seq(("y", "x", "x"))
+    assert FA.src(m) == seq(("x", "y", "x"))
+    assert FA.tgt(m) == seq(("y", "x", "x"))
     assert m.perm == block(SWAP, [identity(1), identity(2)])
     assert m.perm == Perm((3, 1, 2))
 
@@ -260,31 +247,22 @@ def test_mu_mor_pure_perm_oracle(data):
         entries = tuple(data.draw(st.sampled_from(("x", "y"))) for _ in range(k))
         p = Perm(tuple(data.draw(st.permutations(tuple(range(1, k + 1))))))
         blocks.append(sym_mor(ALEV, seq(entries), p))
-    target = [None] * n
-    for i in range(1, n + 1):
-        target[outer_p(i) - 1] = blocks[i - 1].target
-    outer = SeqMor(
-        seq(tuple(b.source for b in blocks)), seq(tuple(target)), outer_p, tuple(blocks)
-    )
+    outer = SeqMor(outer_p, tuple(blocks))
     m = mu_mor(outer)
     # pure symmetries satisfy target[perm(i)] == source[i]
-    placed = [None] * len(m.source.entries)
+    source = FA.src(m).entries
+    placed = [None] * len(source)
     for i in range(1, len(placed) + 1):
-        placed[m.perm(i) - 1] = m.source.entries[i - 1]
-    assert tuple(placed) == m.target.entries
-    assert m.source == mu(outer.source) and m.target == mu(outer.target)
+        placed[m.perm(i) - 1] = source[i - 1]
+    assert tuple(placed) == FA.tgt(m).entries
+    assert FA.src(m) == mu(FFA.src(outer)) and FA.tgt(m) == mu(FFA.tgt(outer))
 
 
 def test_mu_mor_compatible_with_compose():
     flev = Free(ALEV)
-    inner = SeqMor(seq(("x",)), seq(("y",)), identity(1), ("f",))
+    inner = SeqMor(identity(1), ("f",))
     m1 = sym_mor(flev, seq((seq(("x",)), seq(("x", "y")))), SWAP)
-    m2 = SeqMor(
-        m1.target,
-        seq((seq(("y",)), seq(("x", "y")))),
-        identity(2),
-        (inner, identity_seq(ALEV, seq(("x", "y")))),
-    )
+    m2 = SeqMor(identity(2), (inner, identity_seq(ALEV, seq(("x", "y")))))
     lhs = mu_mor(compose_seq(flev, m2, m1))
     rhs = compose_seq(ALEV, mu_mor(m2), mu_mor(m1))
     assert lhs == rhs
@@ -305,7 +283,7 @@ def test_tmap_identity():
 
 def test_tmap_componentwise():
     assert tmap(COLLAPSE, seq(("y", "y"))) == seq(("x", "x"))
-    m = SeqMor(seq(("x",)), seq(("y",)), identity(1), ("f",))
+    m = SeqMor(identity(1), ("f",))
     assert tmap(COLLAPSE, m) == identity_seq(ALEV, seq(("x",)))
 
 
@@ -328,9 +306,9 @@ def test_strength_t2_objects():
 
 def test_strength_t2_morphisms():
     m = sym_mor(ALEV, seq(("x", "y")), SWAP)
-    r = strength_t2_mor(ALEV, "f", m)
-    assert r.source == seq((("x", "y"), ("x", "x")))
-    assert r.target == seq((("y", "x"), ("y", "y")))
+    r = strength_t2_mor("f", m)
+    assert FA2.src(r) == seq((("x", "y"), ("x", "x")))
+    assert FA2.tgt(r) == seq((("y", "x"), ("y", "y")))
     assert r.perm == SWAP
     assert r.components == (("f", "id_y"), ("f", "id_x"))
 
@@ -384,10 +362,10 @@ def test_strength_ti_factorizations():
 
 def test_strength_ti_mor():
     m = sym_mor(ALEV, seq(("x", "y")), SWAP)
-    r = strength_ti_mor((ALEV, None, ALEV), 3, 2, ("f", m, "id_y"))
+    r = strength_ti_mor(3, 2, ("f", m, "id_y"))
     assert r.perm == SWAP
-    assert r.source == strength_ti(3, 2, ("x", m.source, "y"))
-    assert r.target == strength_ti(3, 2, ("y", m.target, "y"))
+    assert FA3.src(r) == strength_ti(3, 2, ("x", FA.src(m), "y"))
+    assert FA3.tgt(r) == strength_ti(3, 2, ("y", FA.tgt(m), "y"))
     assert r.components == (("f", "id_y", "id_y"), ("f", "id_x", "id_y"))
 
 
@@ -433,13 +411,6 @@ def test_strength_eta_mu_compat():
 # ---------------------------------------------------------------- omega
 
 
-def interleave_oracle(xs, row_major=True):
-    n, m = len(xs[0].entries), len(xs[1].entries)
-    if row_major:
-        return seq(tuple((a, b) for a in xs[0].entries for b in xs[1].entries))
-    return seq(tuple((a, b) for b in xs[1].entries for a in xs[0].entries))
-
-
 def test_omega_objects():
     x, y = seq(("a1", "a2")), seq(("b1", "b2"))
     assert omega(x, y) == seq(
@@ -469,17 +440,15 @@ def test_omega_equals_defining_composite():
     for x in pool:
         for y in pool:
             assert omega(x, y) == omega_via_composite(x, y)
-            assert omega(x, y) == interleave_oracle((x, y), True)
+            assert omega(x, y) == omega_n((x, y))
             assert omega_prime(x, y) == omega_prime_via_composite(x, y)
-            assert omega_prime(x, y) == interleave_oracle((x, y), False)
 
 
 def omega_mor_via_composite(p, q):
-    flev = Free(ALEV)
-    inner = strength_t1_mor(flev, p, q)
+    inner = strength_t1_mor(p, q)
     expand = Fun(
         lambda e: strength_t2(e[0], e[1]),
-        lambda em: strength_t2_mor(ALEV, em[0], em[1]),
+        lambda em: strength_t2_mor(em[0], em[1]),
     )
     return mu_mor(tmap(expand, inner))
 
@@ -505,7 +474,8 @@ def test_gamma_transpose_2x2():
     x, y = seq(("a1", "a2")), seq(("b1", "b2"))
     g = gamma_component(LLEV, LLEV, x, y)
     assert g.perm == Perm((1, 3, 2, 4))
-    assert g.source == omega(x, y) and g.target == omega_prime(x, y)
+    assert Free(Prod((LLEV, LLEV))).src(g) == omega(x, y)
+    assert Free(Prod((LLEV, LLEV))).tgt(g) == omega_prime(x, y)
     assert all(
         LABELS.is_identity(c[0]) and LABELS.is_identity(c[1]) for c in g.components
     )
@@ -549,8 +519,10 @@ def test_gamma_inverse():
 @given(seq_mors(max_len=2), seq_mors(max_len=2))
 def test_gamma_natural(p, q):
     plev = Prod((ALEV, ALEV))
-    lhs = compose_seq(plev, gamma_component(ALEV, ALEV, p.target, q.target), omega_mor(p, q))
-    rhs = compose_seq(plev, omega_prime_mor(p, q), gamma_component(ALEV, ALEV, p.source, q.source))
+    g_src = gamma_component(ALEV, ALEV, FA.src(p), FA.src(q))
+    g_tgt = gamma_component(ALEV, ALEV, FA.tgt(p), FA.tgt(q))
+    lhs = compose_seq(plev, g_tgt, omega_mor(p, q))
+    rhs = compose_seq(plev, omega_prime_mor(p, q), g_src)
     assert lhs == rhs
 
 
@@ -576,7 +548,8 @@ def test_gamma_ij_binary_is_gamma():
 def test_gamma_ij_empty_slot():
     x, y = seq(()), seq(("b1",))
     g = gamma_ij_component((LLEV, LLEV, LLEV), 3, 1, 3, (x, "c1", y))
-    assert g.source == g.target == seq(())
+    free = Free(Prod((LLEV, LLEV, LLEV)))
+    assert free.src(g) == free.tgt(g) == seq(())
 
 
 def test_gamma_ij_partition_independent():
@@ -607,9 +580,10 @@ def test_gamma_ij_has_both_orders_as_inverses():
     g = gamma_ij_component(levels, 3, 1, 3, args)
     h = gamma_ij_component(levels, 3, 3, 1, args)
     assert h.perm == invert(g.perm)
-    assert h.source == g.target and h.target == g.source
     plev = Prod(levels)
-    assert compose_seq(plev, h, g) == identity_seq(plev, g.source)
+    free = Free(plev)
+    assert free.src(h) == free.tgt(g) and free.tgt(h) == free.src(g)
+    assert compose_seq(plev, h, g) == identity_seq(plev, free.src(g))
 
 
 def test_gamma_ij_two_partitions_n3_agree():
@@ -693,8 +667,8 @@ def omega_n_mor_left(ms):
 @given(seq_mors(max_len=2), seq_mors(max_len=2), seq_mors(max_len=2))
 def test_omega_n_mor_consistent(p, q, r):
     m = omega_n_mor((p, q, r))
-    assert m.source == omega_n((p.source, q.source, r.source))
-    assert m.target == omega_n((p.target, q.target, r.target))
+    assert FA3.src(m) == omega_n((FA.src(p), FA.src(q), FA.src(r)))
+    assert FA3.tgt(m) == omega_n((FA.tgt(p), FA.tgt(q), FA.tgt(r)))
     assert m == omega_n_mor_left((p, q, r))
     expected = tuple(
         (a, b, c)
@@ -737,8 +711,8 @@ def test_omega_sigma_against_sort_oracle():
 @given(seq_mors(max_len=2), seq_mors(max_len=2))
 def test_omega_sigma_mor_endpoints(p, q):
     m = omega_sigma_mor(SWAP, (p, q))
-    assert m.source == omega_sigma(SWAP, (p.source, q.source))
-    assert m.target == omega_sigma(SWAP, (p.target, q.target))
+    assert FA2.src(m) == omega_sigma(SWAP, (FA.src(p), FA.src(q)))
+    assert FA2.tgt(m) == omega_sigma(SWAP, (FA.tgt(p), FA.tgt(q)))
 
 
 # ---------------------------------------------------------------- mutations
@@ -767,13 +741,10 @@ def test_mutations_flip_and_restore():
 def test_public_constructors_stay_strict():
     with pytest.raises(TypeError, match=r"^SeqObj entries must be a tuple$"):
         SeqObj(["x", "y"])
-    xy, x = seq(("x", "y")), seq(("x",))
-    with pytest.raises(ValueError, match=r"^source and target lengths differ$"):
-        SeqMor(xy, x, identity(2), ("id_x", "id_y"))
-    with pytest.raises(ValueError, match=r"^permutation degree does not match length$"):
-        SeqMor(xy, xy, identity(1), ("id_x", "id_y"))
     with pytest.raises(ValueError, match=r"^need one component per entry$"):
-        SeqMor(xy, xy, identity(2), ("id_x",))
+        SeqMor(identity(1), ("id_x", "id_y"))
+    with pytest.raises(ValueError, match=r"^need one component per entry$"):
+        SeqMor(identity(2), ("id_x",))
 
 
 def revalidate(v):
@@ -785,9 +756,9 @@ def revalidate(v):
         assert SeqObj(v.entries) == v
         revalidate(v.entries)
     elif isinstance(v, SeqMor):
-        assert SeqMor(v.source, v.target, v.perm, v.components) == v
-        for part in (v.source, v.target, v.perm, v.components):
-            revalidate(part)
+        assert SeqMor(v.perm, v.components) == v
+        revalidate(v.perm)
+        revalidate(v.components)
     elif isinstance(v, tuple):
         for part in v:
             revalidate(part)
@@ -797,36 +768,31 @@ def kernel_calls(m, p, q, i):
     """(kernel, args) for every kernel that builds its result unchecked."""
     flev = Free(ALEV)
     # p in the first slot and q in the second, swapped into place
-    nested = SeqMor(
-        seq((p.source, q.source)), seq((q.target, p.target)), SWAP, (p, q)
-    )
+    nested = SeqMor(SWAP, (p, q))
     plain_objs, plain_mors = ("x", "y", "x"), ("f", "id_y", "id_x")
-    args = plain_objs[: i - 1] + (m.source,) + plain_objs[i:]
+    args = plain_objs[: i - 1] + (FA.src(m),) + plain_objs[i:]
     margs = plain_mors[: i - 1] + (m,) + plain_mors[i:]
-    levels = (ALEV, ALEV, ALEV)[: i - 1] + (None,) + (ALEV, ALEV, ALEV)[i:]
     return [
         (identity, (m.perm.degree,)),
         (compose, (m.perm, invert(m.perm))),
         (invert, (m.perm,)),
         (block, (SWAP, [p.perm, q.perm])),
-        (identity_seq, (ALEV, m.source)),
+        (identity_seq, (ALEV, FA.src(m))),
         (compose_seq, (ALEV, extend(m), m)),
         (tmap, (COLLAPSE, m)),
-        (tmap, (COLLAPSE, m.target)),
-        (tmap, (Fun(eta, lambda f: eta_mor(ALEV, f)), m)),
+        (tmap, (COLLAPSE, FA.tgt(m))),
+        (tmap, (Fun(eta, eta_mor), m)),
         (eta, ("x",)),
-        (eta_mor, (ALEV, "f")),
-        (mu, (nested.source,)),
+        (eta_mor, ("f",)),
+        (mu, (FFA.src(nested),)),
         (mu_mor, (nested,)),
-        (identity_seq, (flev, nested.target)),
+        (identity_seq, (flev, FFA.tgt(nested))),
         (strength_ti, (3, i, args)),
-        (strength_ti_mor, (levels, 3, i, margs)),
-        (omega, (p.source, q.source)),
-        (omega_prime, (p.source, q.source)),
-        (omega_n, ((p.source, q.source, m.source),)),
+        (strength_ti_mor, (3, i, margs)),
+        (omega_n, ((FA.src(p), FA.src(q), FA.src(m)),)),
         (omega_n_mor, ((p, q, m),)),
-        (gamma_component, (ALEV, ALEV, p.source, q.source)),
-        (gamma_ij_component, ((ALEV,) * 3, 3, 1, 3, (p.source, "x", q.source))),
+        (gamma_component, (ALEV, ALEV, FA.src(p), FA.src(q))),
+        (gamma_ij_component, ((ALEV,) * 3, 3, 1, 3, (FA.src(p), "x", FA.src(q)))),
         (omega_sigma_mor, (SWAP, (p, q))),
     ]
 
@@ -847,3 +813,39 @@ def test_kernel_outputs_pass_the_public_validators(mutation, m, p, q, i):
     assert outputs
     for out in outputs:
         revalidate(out)
+
+
+def endpoint_cases(m, p, q, i):
+    """(kernel, the endpoints of its morphism output as the category derives
+    them, its object kernel applied to the endpoints of its inputs)."""
+    m2, nested = extend(m), SeqMor(SWAP, (p, q))
+    x, y = FA.src(p), FA.src(m)
+    margs = ("f", "id_y", "id_x")[: i - 1] + (m,) + ("f", "id_y", "id_x")[i:]
+    ends = [
+        tuple(FA.src(a) if isinstance(a, SeqMor) else ALEV.src(a) for a in margs),
+        tuple(FA.tgt(a) if isinstance(a, SeqMor) else ALEV.tgt(a) for a in margs),
+    ]
+    lift = Fun(eta, eta_mor)
+    cases = [
+        ("identity_seq", FA, identity_seq(ALEV, x), (x, x)),
+        ("compose_seq", FA, compose_seq(ALEV, m2, m), (FA.src(m), FA.tgt(m2))),
+        ("tmap", FFA, tmap(lift, m), (tmap(lift, FA.src(m)), tmap(lift, FA.tgt(m)))),
+        ("eta_mor", FA, eta_mor("f"), (eta("x"), eta("y"))),
+        ("mu_mor", FA, mu_mor(nested), (mu(FFA.src(nested)), mu(FFA.tgt(nested)))),
+        ("strength_ti_mor", FA3, strength_ti_mor(3, i, margs),
+         tuple(strength_ti(3, i, e) for e in ends)),
+        ("omega_n_mor", FA3, omega_n_mor((p, q, m)),
+         tuple(omega_n((end(p), end(q), end(m))) for end in (FA.src, FA.tgt))),
+        ("gamma_component", FA2, gamma_component(ALEV, ALEV, x, y),
+         (omega(x, y), omega_prime(x, y))),
+    ]
+    return [(name, (free.src(v), free.tgt(v)), want) for name, free, v, want in cases]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq_mors(), seq_mors(max_len=2), seq_mors(max_len=2), st.integers(1, 3))
+def test_morphism_kernels_run_between_their_object_kernels(m, p, q, i):
+    # endpoints are derived from the components, so a kernel that builds
+    # the wrong permutation or components lands between the wrong objects
+    for kernel, got, want in endpoint_cases(m, p, q, i):
+        assert got == want, kernel

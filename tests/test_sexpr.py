@@ -414,7 +414,7 @@ def test_printing_past_the_recursion_limit_raises_print_error():
     cell, c, x, m = IdCell(Identity(A)), A, "x", "id_x"
     for _ in range(1200):
         cell = ApplyTCell(cell)
-        c, x, m = Free(c), SeqObj((x,)), SeqMor(SeqObj((x,)), SeqObj((x,)), Perm((1,)), (m,))
+        c, x, m = Free(c), SeqObj((x,)), SeqMor(Perm((1,)), (m,))
     for show, args in [(print_cell, (cell,)), (print_fun, (ApplyT(Eta(c)),)), (print_cat, (c,)),
                        (print_obj, (c, x)), (data_of_obj, (c, x)), (data_of_mor, (c, m))]:
         with pytest.raises(PrintError, match="nested too deeply"):

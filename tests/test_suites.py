@@ -140,6 +140,18 @@ def test_all_suites_pass():
     assert hashlib.sha256(text.encode()).hexdigest() == ALL_SUITES_SHA256
 
 
+@pytest.mark.parametrize("ident", [
+    "pseudocomm.axiom4", "pseudocomm.axiom5", "pseudocomm.modification",
+    "pseudosym.bottom-equivariance", "symmetry.axiom", "thm.partition-independence",
+])
+def test_strength_entry_order_is_caught_through_its_morphism_action(ident):
+    # these suites see the reversed strength only where it acts on
+    # morphisms: its permutation conjugated by the reversal
+    with inject("strength-entry-order"):
+        results = run_suites([ident], SMALL)
+    assert results[0]["passed"] is False
+
+
 MUTATION_BUDGET = Budget(max_seq_len=3, max_nest=2, max_points=500, seed=0)
 
 
