@@ -10,11 +10,11 @@ Run with ``python3 demos/braid_and_chains.py``.
 """
 
 from shufflecat.algebras import bruhat_omega
-from shufflecat.calculus import Budget, CatBase, VComp, equal_cell
+from shufflecat.calculus import Budget, VComp, equal_cell
 from shufflecat.fixtures import builtin_base
 from shufflecat.perms import Perm, compose, identity, reduced_words, transposition
 
-A = CatBase(builtin_base("arrow"))
+A = builtin_base("arrow")
 bud = Budget(max_seq_len=2, max_nest=2, max_points=200, seed=0)
 
 # bruhat_omega lays out one walk functor per permutation of three slots and

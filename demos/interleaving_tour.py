@@ -9,7 +9,6 @@ import json
 
 from shufflecat.calculus import (
     Budget,
-    CatBase,
     Gamma,
     GammaInv,
     VComp,
@@ -25,7 +24,8 @@ from shufflecat.freesmc import SeqObj, partitions_for
 from shufflecat.sexpr import data_of_mor
 
 # The base category is the walking arrow: objects x, y and one arrow f.
-A = CatBase(builtin_base("arrow"))
+# A loaded finite category is itself a category expression.
+A = builtin_base("arrow")
 
 # Gamma((A, B)) compares the two ways of interleaving a pair of sequences.
 # Its component at a pair is a permutation of the flattened grid.

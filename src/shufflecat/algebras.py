@@ -23,7 +23,6 @@ from .calculus import (
     ApplyT,
     ApplyTCell,
     Budget,
-    CatBase,
     CatExpr,
     CellExpr,
     Compose,
@@ -86,7 +85,7 @@ class MonoidAlg:
 
     @property
     def carrier(self) -> CatExpr:
-        return CatBase(self.monoid.cat)
+        return self.monoid.cat
 
     @property
     def structure(self) -> FunExpr:

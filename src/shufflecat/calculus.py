@@ -1,11 +1,11 @@
 """Expression trees for categories, functors and 2-cells, plus a bounded
 pointwise equality checker.
 
-Category expressions (defined in freesmc, re-exported here) are built from
-finite base categories with flat n-ary products and the free symmetric
-monoidal construction; functor expressions name the structural maps
-(projections, shuffles, eta, mu, strengths, the interleavings) and compose
-in diagrammatic order; cell expressions paste interchange cells with
+Category expressions are loaded finite categories (fincat.FinCat) and
+the flat n-ary products and free symmetric monoidal categories built on
+them (freesmc, re-exported here); functor expressions name the
+structural maps (projections, shuffles, eta, mu, strengths, the
+interleavings) and compose in diagrammatic order; cell expressions paste interchange cells with
 whiskering, vertical, and horizontal composition.
 
 Equality of functors or 2-cells is decided pointwise over a deterministic
@@ -27,10 +27,8 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, wraps
 from typing import Optional, Union
 
-from .fincat import CommMonoid, FunTable
+from .fincat import CatExpr, CommMonoid, FunTable
 from .freesmc import (
-    CatBase,
-    CatExpr,
     Free,
     Fun,
     Prod,
@@ -67,6 +65,12 @@ class BudgetError(CalcError):
 
 
 UNIT = Prod(())
+
+
+def CatBase(cat):
+    """cat itself: a FinCat is its own category expression.  Kept only
+    because the benchmark's workloads (bench/workloads.py) import it."""
+    return cat
 
 
 def free_depth(c: CatExpr) -> int:
@@ -223,17 +227,15 @@ def fun_endpoints(f: FunExpr, path: str = "") -> tuple:
         if isinstance(f, Omega):
             return Prod(tuple(Free(a) for a in f.inners)), Free(Prod(f.inners))
         if isinstance(f, FunBase):
-            return CatBase(f.table.domain), CatBase(f.table.codomain)
+            return f.table.domain, f.table.codomain
         if isinstance(f, Const):
             return f.dom, f.cod
         if isinstance(f, MonoidEval):
-            base = CatBase(f.monoid.cat)
-            return Free(base), base
+            return Free(f.monoid.cat), f.monoid.cat
         if isinstance(f, MonoidMult):
             if f.n < 0:
                 raise TypecheckError(f"{where}: negative multiplication arity")
-            base = CatBase(f.monoid.cat)
-            return Prod((base,) * f.n), base
+            return Prod((f.monoid.cat,) * f.n), f.monoid.cat
         raise TypecheckError(f"{where}: not a functor expression")
     except RecursionError:
         raise TypecheckError(f"{type(f).__name__}: expression nested too deeply") from None

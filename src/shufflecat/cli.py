@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .calculus import Budget, CalcError, CatBase, cell_facts, eval_cell
+from .calculus import Budget, CalcError, cell_facts, eval_cell
 from .fincat import FinCatError, load_fincat, load_monoid
 from .fixtures import builtin_base, builtin_base_names, builtin_monoid, builtin_monoid_names
 from .sexpr import Env, ParseError, data_of_mor, parse_cell, parse_obj
@@ -138,10 +138,7 @@ def cmd_validate(args) -> int:
             kind = "monoid" if isinstance(doc, dict) and "elements" in doc else "category"
             (load_monoid if kind == "monoid" else load_fincat)(doc)
             print(f"{path}: ok ({kind})")
-        except UsageError as exc:
-            print(f"{path}: INVALID: {exc}")
-            failed = True
-        except FinCatError as exc:
+        except (UsageError, FinCatError) as exc:
             print(f"{path}: INVALID: {exc}")
             failed = True
     return 1 if failed else 0
@@ -168,7 +165,7 @@ def cmd_run(args) -> int:
     if not base.objects:
         print("run: the base category has no objects", file=sys.stderr)
         return 2
-    ctx = SuiteContext(base=CatBase(base), monoid=_load_monoid_arg(args.monoid), bud=bud)
+    ctx = SuiteContext(base=base, monoid=_load_monoid_arg(args.monoid), bud=bud)
     results = run_suites(ids, ctx, timings=args.timings)
     print(render_table(results))
     if args.report:
@@ -231,10 +228,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except UsageError as exc:
-        print(f"shufflecat: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (UsageError, KeyError) as exc:
         print(f"shufflecat: {exc}", file=sys.stderr)
         return 2
     except FinCatError as exc:

@@ -11,6 +11,21 @@ duplicated table entries, endpoint mismatches, and associativity failures
 are all rejected with the offending labels named.  Two loaded categories
 are never equal unless they are the same object; values living in distinct
 loads are deliberately incomparable.
+
+A loaded FinCat is the base category expression: like the products and
+free categories of the freesmc module it numbers its objects and
+morphisms, in its own order, and supplies its own identities,
+composition and endpoints.
+
+>>> arrow = load_fincat({
+...     "name": "arrow", "objects": ["x", "y"],
+...     "morphisms": [{"id": "f", "src": "x", "tgt": "y"}], "compose": []})
+>>> from shufflecat.calculus import Budget, Free
+>>> bud = Budget(max_seq_len=2)
+>>> arrow.count_morphisms(bud), arrow.morphism_at(bud, 2), arrow.free_depth()
+(3, 'f', 0)
+>>> Free(arrow).count_objects(bud)
+7
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = [
+    "CatExpr",
     "CommMonoid",
     "FinCat",
     "FinCatError",
@@ -35,8 +51,25 @@ class FinCatError(ValueError):
     """Raised when a category document or operation is invalid."""
 
 
+class CatExpr:
+    """A category expression: it numbers its objects and morphisms from 0
+    for a budget, whose max_seq_len bounds the length of sequences."""
+
+    def count_objects(self, bud) -> int:
+        return self._count(bud, False)
+
+    def count_morphisms(self, bud) -> int:
+        return self._count(bud, True)
+
+    def object_at(self, bud, index: int, table=None):
+        return self._at(bud, index, False, {} if table is None else table)
+
+    def morphism_at(self, bud, index: int, table=None):
+        return self._at(bud, index, True, {} if table is None else table)
+
+
 @dataclass(eq=False)
-class FinCat:
+class FinCat(CatExpr):
     """A finite category with labelled objects and morphisms.
 
     Morphism labels include the implicit identities.  Equality is object
@@ -91,6 +124,15 @@ class FinCat:
         return tuple(
             m for m in self.all_morphisms() if self._src[m] == a and self._tgt[m] == b
         )
+
+    def free_depth(self) -> int:
+        return 0
+
+    def _count(self, bud, mor: bool) -> int:
+        return len(self.all_morphisms() if mor else self.objects)
+
+    def _at(self, bud, index: int, mor: bool, table):
+        return (self.all_morphisms() if mor else self.objects)[index]
 
     def __post_init__(self) -> None:
         self._obj_set = frozenset(self.objects)

@@ -5,9 +5,10 @@ together with one base morphism per source entry.  Entry i of the source is
 carried to slot perm(i) of the target by components[i-1], so composing two
 morphisms re-indexes the outer components through the inner permutation.
 
-Category expressions (CatBase, Prod, Free) live here and supply their own
-identities, composition and endpoints: the free category on C takes those
-of its entries from C, so sequences nest to any depth.  A sequence
+A loaded FinCat is the base category expression; the products and free
+categories built on it live here.  Each supplies its own identities,
+composition and endpoints: the free category on C takes those of its
+entries from C, so sequences nest to any depth.  A sequence
 morphism holds only its permutation and components, and Free.src and
 Free.tgt derive its endpoints from theirs.  Category expressions also
 number their own objects and morphisms, with one mixed-radix decoder for
@@ -22,7 +23,7 @@ constructors ``_obj`` and ``_mor``, from parts that are already valid.
 >>> arrow = load_fincat({
 ...     "name": "arrow", "objects": ["x", "y"],
 ...     "morphisms": [{"id": "f", "src": "x", "tgt": "y"}], "compose": []})
->>> Free(CatBase(arrow)).identity(seq(("x", "y"))).perm
+>>> Free(arrow).identity(seq(("x", "y"))).perm
 Perm((1, 2))
 >>> eta("x")
 SeqObj(('x',))
@@ -40,7 +41,7 @@ where the first sequence varies fastest, is pure shuffling; on a pair of
 
 >>> lab = load_fincat({"name": "lab", "objects": ["a1", "a2", "b1", "b2"],
 ...                    "morphisms": [], "compose": []})
->>> gamma_component(CatBase(lab), CatBase(lab), x, y).perm
+>>> gamma_component(lab, lab, x, y).perm
 Perm((1, 3, 2, 4))
 
 Shorter values are numbered first, then in mixed radix; a sequence
@@ -48,7 +49,7 @@ morphism's permutation is its most significant digit.  Up to length 2, the
 free category on the arrow has 1 + 2 + 4 objects and 1 + 3 + 2 * 9 morphisms:
 
 >>> from shufflecat.calculus import Budget
->>> free, bud = Free(CatBase(arrow)), Budget(max_seq_len=2)
+>>> free, bud = Free(arrow), Budget(max_seq_len=2)
 >>> free.count_objects(bud), free.count_morphisms(bud)
 (7, 22)
 >>> free.object_at(bud, 1 + 2 + 2)
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .fincat import FinCat
+from .fincat import CatExpr
 from .perms import Perm, _perm, all_perms, block, block_right, compose, identity, invert, permute
 
 # Deliberate fault injection for the meta checks: when a mutation name is
@@ -130,23 +131,6 @@ def _mor(perm: Perm, components: tuple) -> SeqMor:
     return m
 
 
-class CatExpr:
-    """A category expression: it numbers its objects and morphisms from 0
-    for a budget, whose max_seq_len bounds the length of sequences."""
-
-    def count_objects(self, bud) -> int:
-        return self._count(bud, False)
-
-    def count_morphisms(self, bud) -> int:
-        return self._count(bud, True)
-
-    def object_at(self, bud, index: int, table=None):
-        return self._at(bud, index, False, {} if table is None else table)
-
-    def morphism_at(self, bud, index: int, table=None):
-        return self._at(bud, index, True, {} if table is None else table)
-
-
 def _decode(index: int, parts, bud, mor: bool, table: dict) -> tuple:
     """The values (morphisms if mor, else objects) of a mixed-radix index, one
     per (category, radix) part; table, shared by one enumeration, maps
@@ -162,56 +146,23 @@ def _decode(index: int, parts, bud, mor: bool, table: dict) -> tuple:
 
 
 @dataclass(frozen=True)
-class CatBase(CatExpr):
-    """A finite base category; its morphisms and their order are its own."""
-
-    cat: FinCat
-
-    def identity(self, obj):
-        return self.cat.identity(obj)
-
-    def comp(self, m2, m1):
-        return self.cat.comp(m2, m1)
-
-    def src(self, m):
-        return self.cat.src(m)
-
-    def tgt(self, m):
-        return self.cat.tgt(m)
-
-    def free_depth(self) -> int:
-        return 0
-
-    def _count(self, bud, mor: bool) -> int:
-        return len(self.cat.all_morphisms() if mor else self.cat.objects)
-
-    def _at(self, bud, index: int, mor: bool, table):
-        return (self.cat.all_morphisms() if mor else self.cat.objects)[index]
-
-
-@dataclass(frozen=True)
 class Prod(CatExpr):
     """A flat product: objects and morphisms are tuples, one entry per
     factor, numbered in mixed radix with the first factor most significant."""
 
     factors: tuple
 
-    def _zip(self, m):
-        if len(m) != len(self.factors):
-            raise ValueError("tuple length does not match product arity")
-        return zip(self.factors, m)
-
     def identity(self, obj):
-        return tuple([f.identity(o) for f, o in self._zip(obj)])
+        return tuple([f.identity(o) for f, o in zip(self.factors, obj, strict=True)])
 
     def comp(self, m2, m1):
-        return tuple([f.comp(a, b) for (f, a), (_, b) in zip(self._zip(m2), self._zip(m1))])
+        return tuple([f.comp(a, b) for f, a, b in zip(self.factors, m2, m1, strict=True)])
 
     def src(self, m):
-        return tuple([f.src(c) for f, c in self._zip(m)])
+        return tuple([f.src(c) for f, c in zip(self.factors, m, strict=True)])
 
     def tgt(self, m):
-        return tuple([f.tgt(c) for f, c in self._zip(m)])
+        return tuple([f.tgt(c) for f, c in zip(self.factors, m, strict=True)])
 
     def free_depth(self) -> int:
         return max((f.free_depth() for f in self.factors), default=0)
@@ -240,10 +191,15 @@ class Free(CatExpr):
         return compose_seq(self.inner, m2, m1)
 
     def src(self, m):
-        return _src(self.inner, m)
+        """Source entry i is the source of component i."""
+        return _obj(tuple(map(self.inner.src, m.components)))
 
     def tgt(self, m):
-        return _tgt(self.inner, m)
+        """Target entry perm(i) is the target of component i."""
+        tgt, out = self.inner.tgt, [None] * len(m.components)
+        for i, c in zip(m.perm.images, m.components):
+            out[i - 1] = tgt(c)
+        return _obj(tuple(out))
 
     def free_depth(self) -> int:
         return 1 + self.inner.free_depth()
@@ -266,19 +222,6 @@ class Free(CatExpr):
         raise IndexError(f"{'morphism' if mor else 'object'} index out of range")
 
 
-def _src(inner: CatExpr, m: SeqMor) -> SeqObj:
-    """Source entry i is the source of component i."""
-    return _obj(tuple(map(inner.src, m.components)))
-
-
-def _tgt(inner: CatExpr, m: SeqMor) -> SeqObj:
-    """Target entry perm(i) is the target of component i."""
-    out = [None] * len(m.components)
-    for i, c in zip(m.perm.images, m.components):
-        out[i - 1] = inner.tgt(c)
-    return _obj(tuple(out))
-
-
 def identity_seq(inner: CatExpr, x: SeqObj) -> SeqMor:
     entries = x.entries
     return _mor(identity(len(entries)), tuple([inner.identity(e) for e in entries]))
@@ -295,13 +238,17 @@ def sym_mor(inner: CatExpr, x: SeqObj, sigma: Perm) -> SeqMor:
 
 def compose_seq(inner: CatExpr, m2: SeqMor, m1: SeqMor) -> SeqMor:
     """m1 followed by m2; the second batch of components is re-indexed
-    through m1's permutation before composing entrywise."""
-    if _tgt(inner, m1) != _src(inner, m2):
+    through m1's permutation before composing entrywise.  The endpoints
+    meet when each component of m1 ends where the component of m2 it is
+    carried to starts."""
+    c2, tgt, src = m2.components, inner.tgt, inner.src
+    if len(c2) != len(m1.components) or any(
+        tgt(c1) != src(c2[j - 1]) for j, c1 in zip(m1.perm.images, m1.components)
+    ):
         raise ValueError("cannot compose: endpoints do not meet")
     if _ACTIVE_MUTATION == "compose-reindexing":
-        comps = tuple(map(inner.comp, m2.components, m1.components))
+        comps = tuple(map(inner.comp, c2, m1.components))
     else:
-        c2 = m2.components
         comps = tuple(
             [inner.comp(c2[j - 1], c1) for j, c1 in zip(m1.perm.images, m1.components)]
         )

@@ -50,7 +50,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .calculus import (
-    ApplyT, ApplyTCell, CatBase, CatExpr, CellExpr, Compose, Eta, Free, FunExpr, Gamma,
+    ApplyT, ApplyTCell, CatExpr, CellExpr, Compose, Eta, Free, FunExpr, Gamma,
     GammaInv, HComp, IdCell, Identity, MonoidEval, MonoidMult, Mu, Omega, Prod, Proj,
     Shuffle, Strength, Tuple, TupleCell, VComp, WhiskerL, WhiskerR,
 )
@@ -84,8 +84,8 @@ class Env:
     base: FinCat
     monoid: Optional[CommMonoid] = None
 
-    def cat(self, name: str) -> CatBase:
-        return CatBase(self.base)
+    def cat(self, name: str) -> FinCat:
+        return self.base
 
 
 # -------------------------------------------------------------- tokens
@@ -354,8 +354,8 @@ def _join(head: str, parts) -> str:
 
 def _print(x, kind: str) -> str:
     """Text of x, an expression of the given kind, from its class's table row."""
-    if kind == "category" and isinstance(x, CatBase):
-        return x.cat.name
+    if kind == "category" and isinstance(x, FinCat):
+        return x.name
     h = _PRINTED_BY.get(type(x))
     if h is None or h.kind != kind:
         raise PrintError(f"no textual form for {type(x).__name__}")
@@ -413,11 +413,11 @@ _PRINTED_BY = {h.ctor: h for h in reversed(_HEADS.values())}
 def _obj_of(node, c: CatExpr, env: Env):
     if isinstance(node, _Comma):
         raise ParseError("unexpected ','", node.offset)
-    if isinstance(c, CatBase):
+    if isinstance(c, FinCat):
         if not isinstance(node, _Atom):
-            raise ParseError(f"expected an object name of {c.cat.name!r}", node.offset)
-        if node.text not in c.cat.objects:
-            raise ParseError(f"no object {node.text!r} in category {c.cat.name!r}", node.offset)
+            raise ParseError(f"expected an object name of {c.name!r}", node.offset)
+        if node.text not in c.objects:
+            raise ParseError(f"no object {node.text!r} in category {c.name!r}", node.offset)
         return node.text
     if isinstance(node, _Atom):
         raise ParseError("expected a parenthesized literal", node.offset)
@@ -539,8 +539,8 @@ def _literal(c: CatExpr, v, form: str):
     object or a morphism; PrintError if v has the wrong shape for c or is
     not a value of its base category."""
     mor = form == "morphism"
-    if isinstance(c, CatBase):
-        if v in (c.cat.all_morphisms() if mor else c.cat.objects):
+    if isinstance(c, FinCat):
+        if v in (c.all_morphisms() if mor else c.objects):
             return v
     elif isinstance(c, Prod):
         if isinstance(v, tuple) and len(v) == len(c.factors):

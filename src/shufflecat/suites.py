@@ -59,7 +59,6 @@ from .calculus import (
     ApplyTCell,
     Budget,
     BudgetError,
-    CatBase,
     CatExpr,
     CellExpr,
     Compose,
@@ -94,7 +93,7 @@ from .calculus import (
     prod_map,
     show_value,
 )
-from .fincat import CommMonoid, FunTable
+from .fincat import CommMonoid, FinCat, FunTable
 from .fixtures import builtin_base, builtin_monoid
 from .freesmc import partitions_for
 from .perms import Perm, all_perms, block, reduced_words, transposition, word_to_perm
@@ -107,7 +106,7 @@ class SuiteContext:
     """Fixtures a suite runs against: a base category, a commutative
     monoid, and the evaluation budget."""
 
-    base: CatExpr
+    base: FinCat
     monoid: CommMonoid
     bud: Budget
 
@@ -128,7 +127,7 @@ _SWAP = Perm((2, 1))
 
 def default_context(base: str = "arrow", monoid: str = "z2",
                     bud: Optional[Budget] = None) -> SuiteContext:
-    return SuiteContext(CatBase(builtin_base(base)), builtin_monoid(monoid),
+    return SuiteContext(builtin_base(base), builtin_monoid(monoid),
                         bud or DEFAULT_BUDGET)
 
 
@@ -150,9 +149,8 @@ def _seq(bud: Budget, cap: int) -> Budget:
     return replace(bud, max_seq_len=min(bud.max_seq_len, cap))
 
 
-def _collapse(base: CatBase):
+def _collapse(cat: FinCat):
     """The endofunctor crushing a base category onto its first object."""
-    cat = base.cat
     o0 = cat.objects[0]
     table = FunTable(cat, cat,
                      {o: o0 for o in cat.objects},
@@ -584,7 +582,7 @@ def _free_image_of_composite(b: CatExpr, f, sizes, gs, bud: Budget) -> Report:
         " and constants.")
 def _multifunctor(ctx: SuiteContext) -> list[Check]:
     b, bud = ctx.base, ctx.bud
-    obj0 = b.cat.objects[0]
+    obj0 = b.objects[0]
     fb = _collapse(b)
     U, B2 = Prod((b,)), Prod((b, b))
     u_pool = [Proj(U, 1), Compose((Proj(U, 1), fb)), Const(U, b, obj0)]
@@ -802,16 +800,8 @@ def _newlemma(lo: int, ctx: SuiteContext) -> list[Check]:
 
 def _maximal_chains(A: CatExpr, n: int) -> list:
     """(word, chain) for each reduced word of the reversal of n slots, in
-    sorted order: the cover cells of ``bruhat_omega`` along the word."""
-    data = bruhat_omega((A,) * n)
-    out = []
-    for word in sorted(reduced_words(perms.reversal(n))):
-        cells, p0 = [], perms.identity(n)
-        for i in word:
-            cells.append(data["covers"][(p0, i)])
-            p0 = perms.compose(p0, transposition(n, i))
-        out.append((word, VComp(tuple(cells))))
-    return out
+    sorted order: the cover cells along the word, pasted vertically."""
+    return [(w, _swap_chain((A,) * n, w)) for w in sorted(reduced_words(perms.reversal(n)))]
 
 
 def _cover_endpoints(A: CatExpr, bud: Budget) -> Report:

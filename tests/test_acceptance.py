@@ -15,7 +15,6 @@ import pytest
 
 from shufflecat.calculus import (
     Budget,
-    CatBase,
     _endpoint_drift,
     _EVAL_ERRORS,
     cell_endpoints,
@@ -44,7 +43,7 @@ _T0 = time.monotonic()
 
 def _context(base_name: str, bud: Budget = DEFAULT_BUDGET) -> SuiteContext:
     return SuiteContext(
-        base=CatBase(builtin_base(base_name)),
+        base=builtin_base(base_name),
         monoid=builtin_monoid("z2"),
         bud=bud,
     )
@@ -221,7 +220,7 @@ def test_criterion_10_meta_soundness_and_minimal_counterexamples():
     # One case verified exhaustively: the flipped transpose must be caught
     # at the first failing point of the object enumeration, with every
     # earlier point passing.
-    composite, ident = symmetry_round_trip(CatBase(builtin_base("arrow")))
+    composite, ident = symmetry_round_trip(builtin_base("arrow"))
     src, tgt = cell_endpoints(composite)
     dom, lev = fun_dom(src), level_of(fun_cod(src))
     with inject("gamma-transpose-direction"):

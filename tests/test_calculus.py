@@ -25,7 +25,6 @@ from shufflecat.calculus import (
     Budget,
     BudgetError,
     CELL_TYPES,
-    CatBase,
     CellExpr,
     Compose,
     Const,
@@ -69,7 +68,7 @@ from shufflecat.calculus import (
     prod_map,
     typecheck,
 )
-from shufflecat.fincat import FunTable, load_fincat
+from shufflecat.fincat import FinCat, FunTable, load_fincat
 from shufflecat.mutations import MUTATIONS, inject
 from shufflecat.freesmc import SeqMor, SeqObj, identity_seq, omega_n, seq, strength_ti
 from shufflecat.perms import Perm, all_perms, identity, invert
@@ -86,8 +85,8 @@ ARROW = load_fincat(
         "compose": [],
     }
 )
-A = CatBase(DISC2)
-W = CatBase(ARROW)
+A = DISC2
+W = ARROW
 TA = Free(A)
 BUD = Budget()
 
@@ -920,12 +919,12 @@ IDEM = load_fincat({"name": "idem", "objects": ["x", "y"],
                     "compose": [{"first": "e", "second": "e", "result": "e"},
                                 {"first": "e", "second": "f", "result": "g"},
                                 {"first": "e", "second": "g", "result": "g"}]})
-UNNATURAL = WhiskerR(IdCell(Identity(CatBase(IDEM))), FunBase(FunTable(
+UNNATURAL = WhiskerR(IdCell(Identity(IDEM)), FunBase(FunTable(
     IDEM, IDEM, {"x": "x", "y": "y"},
     {"id_x": "e", "id_y": "id_y", "e": "e", "f": "f", "g": "g"})))
 KNOWN_CHECKS = _checks_of(Gamma((W, W))) + _checks_of(GammaInv((W, W, W), 1, 3)) + [
-    (equal_fun, old_equal_fun, Identity(Free(CatBase(PAR))), SWAP),
-    (equal_cell, old_equal_cell, IdCell(Identity(Free(CatBase(PAR)))), IdCell(SWAP)),
+    (equal_fun, old_equal_fun, Identity(Free(PAR)), SWAP),
+    (equal_cell, old_equal_cell, IdCell(Identity(Free(PAR))), IdCell(SWAP)),
     (equal_cell, old_equal_cell, IdCell(PARTIAL), IdCell(_identical_twin(PARTIAL))),
     (check_naturality, old_check_naturality, WhiskerL(Tuple((PARTIAL, PARTIAL)), G)),
     (check_naturality, old_check_naturality, UNNATURAL),
@@ -966,7 +965,7 @@ def test_reports_are_built_in_one_helper():
 
 
 def ref_free_depth(c) -> int:
-    if isinstance(c, CatBase):
+    if isinstance(c, FinCat):
         return 0
     if isinstance(c, Prod):
         return max((ref_free_depth(f) for f in c.factors), default=0)
@@ -974,8 +973,8 @@ def ref_free_depth(c) -> int:
 
 
 def ref_count_objects(c, bud) -> int:
-    if isinstance(c, CatBase):
-        return len(c.cat.objects)
+    if isinstance(c, FinCat):
+        return len(c.objects)
     if isinstance(c, Prod):
         total = 1
         for f in c.factors:
@@ -986,8 +985,8 @@ def ref_count_objects(c, bud) -> int:
 
 
 def ref_count_morphisms(c, bud) -> int:
-    if isinstance(c, CatBase):
-        return len(c.cat.all_morphisms())
+    if isinstance(c, FinCat):
+        return len(c.all_morphisms())
     if isinstance(c, Prod):
         total = 1
         for f in c.factors:
@@ -1005,8 +1004,8 @@ def ref_digits(index: int, base: int, width: int) -> list:
 
 
 def ref_object_at(c, bud, index: int):
-    if isinstance(c, CatBase):
-        return c.cat.objects[index]
+    if isinstance(c, FinCat):
+        return c.objects[index]
     if isinstance(c, Prod):
         vals = []
         counts = [ref_count_objects(f, bud) for f in c.factors]
@@ -1024,8 +1023,8 @@ def ref_object_at(c, bud, index: int):
 
 
 def ref_morphism_at(c, bud, index: int):
-    if isinstance(c, CatBase):
-        return c.cat.all_morphisms()[index]
+    if isinstance(c, FinCat):
+        return c.all_morphisms()[index]
     if isinstance(c, Prod):
         vals = []
         counts = [ref_count_morphisms(f, bud) for f in c.factors]

@@ -18,7 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize(
-    "module, examples", [("freesmc", 13), ("sexpr", 5), ("perms", 12)]
+    "module, examples", [("freesmc", 13), ("sexpr", 5), ("perms", 12), ("fincat", 5)]
 )
 def test_module_doctests_pass(module, examples):
     result = doctest.testmod(importlib.import_module(f"shufflecat.{module}"))

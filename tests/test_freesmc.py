@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflecat import freesmc
 from shufflecat.fincat import load_fincat
 from shufflecat.freesmc import (
-    CatBase,
     Free,
     Fun,
     Prod,
@@ -54,7 +54,6 @@ ARROW = load_fincat(
         "compose": [],
     }
 )
-ALEV = CatBase(ARROW)
 SWAP = Perm((2, 1))
 
 LABELS = load_fincat(
@@ -65,10 +64,9 @@ LABELS = load_fincat(
         "compose": [],
     }
 )
-LLEV = CatBase(LABELS)
 # the sequence categories whose endpoints the tests read
-FA, FFA = Free(ALEV), Free(Free(ALEV))
-FA2, FA3 = Free(Prod((ALEV, ALEV))), Free(Prod((ALEV, ALEV, ALEV)))
+FA, FFA = Free(ARROW), Free(Free(ARROW))
+FA2, FA3 = Free(Prod((ARROW, ARROW))), Free(Prod((ARROW, ARROW, ARROW)))
 
 
 def mors_from(obj):
@@ -156,14 +154,14 @@ def test_eta():
     m = eta_mor("f")
     assert FA.src(m) == seq(("x",)) and FA.tgt(m) == seq(("y",))
     assert m.perm == identity(1) and m.components == ("f",)
-    assert eta_mor("id_x") == identity_seq(ALEV, eta("x"))
+    assert eta_mor("id_x") == identity_seq(ARROW, eta("x"))
 
 
 def test_identity_and_sym():
     x = seq(("x", "y", "x"))
-    assert identity_seq(ALEV, x).perm == identity(3)
+    assert identity_seq(ARROW, x).perm == identity(3)
     rho = Perm((2, 3, 1))
-    m = sym_mor(ALEV, x, rho)
+    m = sym_mor(ARROW, x, rho)
     assert FA.tgt(m) == x
     assert FA.src(m) == seq(permute(x.entries, rho))
     for i in range(1, 4):
@@ -172,37 +170,68 @@ def test_identity_and_sym():
 
 def test_compose_identity_laws():
     x = seq(("x", "y"))
-    m = sym_mor(ALEV, x, SWAP)
-    assert compose_seq(ALEV, m, identity_seq(ALEV, FA.src(m))) == m
-    assert compose_seq(ALEV, identity_seq(ALEV, FA.tgt(m)), m) == m
+    m = sym_mor(ARROW, x, SWAP)
+    assert compose_seq(ARROW, m, identity_seq(ARROW, FA.src(m))) == m
+    assert compose_seq(ARROW, identity_seq(ARROW, FA.tgt(m)), m) == m
 
 
 def test_compose_pure_symmetries():
     x = seq(("x", "y", "x"))
     a, b = Perm((2, 3, 1)), Perm((2, 1, 3))
-    m1 = sym_mor(ALEV, seq(permute(x.entries, a)), b)
-    m2 = sym_mor(ALEV, x, a)
-    c = compose_seq(ALEV, m2, m1)
+    m1 = sym_mor(ARROW, seq(permute(x.entries, a)), b)
+    m2 = sym_mor(ARROW, x, a)
+    c = compose_seq(ARROW, m2, m1)
     assert c.perm == compose(a, b)
     assert all(ARROW.is_identity(k) for k in c.components)
 
 
 def test_compose_reindexes_components():
-    m1 = sym_mor(ALEV, seq(("x", "y")), SWAP)
+    m1 = sym_mor(ARROW, seq(("x", "y")), SWAP)
     m2 = SeqMor(identity(2), ("f", "id_y"))
-    c = compose_seq(ALEV, m2, m1)
+    c = compose_seq(ARROW, m2, m1)
     assert FA.src(c) == seq(("y", "x")) and FA.tgt(c) == seq(("y", "y"))
     assert c.perm == SWAP
     assert c.components == ("id_y", "f")
 
 
 def test_compose_endpoint_mismatch_raises():
-    m = sym_mor(ALEV, seq(("x", "y")), SWAP)
+    m = sym_mor(ARROW, seq(("x", "y")), SWAP)
     with pytest.raises(ValueError, match=r"^cannot compose: endpoints do not meet$"):
-        compose_seq(ALEV, m, m)
+        compose_seq(ARROW, m, m)
     # each component has a composable partner, but not at its own slot
     with pytest.raises(ValueError, match=r"^cannot compose: endpoints do not meet$"):
-        compose_seq(ALEV, SeqMor(SWAP, ("f", "id_y")), SeqMor(identity(2), ("f", "id_y")))
+        compose_seq(ARROW, SeqMor(SWAP, ("f", "id_y")), SeqMor(identity(2), ("f", "id_y")))
+    # the endpoints differ in length: x y against x
+    with pytest.raises(ValueError, match=r"^cannot compose: endpoints do not meet$"):
+        compose_seq(ARROW, SeqMor(identity(1), ("id_x",)), m)
+
+
+def test_compose_over_a_base_builds_no_sequence(monkeypatch):
+    # the endpoint check compares component by component
+    calls = []
+    real = freesmc._obj
+    monkeypatch.setattr(freesmc, "_obj", lambda entries: calls.append(entries) or real(entries))
+    m = SeqMor(identity(2), ("f", "id_y"))
+    assert compose_seq(ARROW, identity_seq(ARROW, seq(("y", "y"))), m).components == ("f", "id_y")
+    assert calls == []
+
+
+PAIR = Prod((ARROW, ARROW))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PAIR.identity(("x",)),
+    lambda: PAIR.identity(("x", "y", "x")),
+    lambda: PAIR.comp(("id_y",), ("f", "id_x")),
+    lambda: PAIR.comp(("id_y", "id_x"), ("f", "id_x", "id_x")),
+    lambda: PAIR.src(("f",)),
+    lambda: PAIR.tgt(("f", "id_x", "id_y")),
+], ids=["identity-short", "identity-long", "comp-second-short", "comp-first-long",
+        "src-short", "tgt-long"])
+def test_product_rejects_a_tuple_of_the_wrong_length(call):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError
 
 
 @settings(max_examples=60)
@@ -210,8 +239,8 @@ def test_compose_endpoint_mismatch_raises():
 def test_compose_associative(m1):
     m2 = extend(m1)
     m3 = extend(m2)
-    lhs = compose_seq(ALEV, m3, compose_seq(ALEV, m2, m1))
-    rhs = compose_seq(ALEV, compose_seq(ALEV, m3, m2), m1)
+    lhs = compose_seq(ARROW, m3, compose_seq(ARROW, m2, m1))
+    rhs = compose_seq(ARROW, compose_seq(ARROW, m3, m2), m1)
     assert lhs == rhs
 
 
@@ -227,7 +256,7 @@ def test_mu_erases_parentheses():
 def test_mu_mor_outer_swap_blocks():
     inner1 = seq(("x",))
     inner2 = seq(("y", "x"))
-    flev = Free(ALEV)
+    flev = Free(ARROW)
     outer = sym_mor(flev, seq((inner2, inner1)), SWAP)
     m = mu_mor(outer)
     assert FA.src(m) == seq(("x", "y", "x"))
@@ -246,7 +275,7 @@ def test_mu_mor_pure_perm_oracle(data):
     for k in sizes:
         entries = tuple(data.draw(st.sampled_from(("x", "y"))) for _ in range(k))
         p = Perm(tuple(data.draw(st.permutations(tuple(range(1, k + 1))))))
-        blocks.append(sym_mor(ALEV, seq(entries), p))
+        blocks.append(sym_mor(ARROW, seq(entries), p))
     outer = SeqMor(outer_p, tuple(blocks))
     m = mu_mor(outer)
     # pure symmetries satisfy target[perm(i)] == source[i]
@@ -259,12 +288,12 @@ def test_mu_mor_pure_perm_oracle(data):
 
 
 def test_mu_mor_compatible_with_compose():
-    flev = Free(ALEV)
+    flev = Free(ARROW)
     inner = SeqMor(identity(1), ("f",))
     m1 = sym_mor(flev, seq((seq(("x",)), seq(("x", "y")))), SWAP)
-    m2 = SeqMor(identity(2), (inner, identity_seq(ALEV, seq(("x", "y")))))
+    m2 = SeqMor(identity(2), (inner, identity_seq(ARROW, seq(("x", "y")))))
     lhs = mu_mor(compose_seq(flev, m2, m1))
-    rhs = compose_seq(ALEV, mu_mor(m2), mu_mor(m1))
+    rhs = compose_seq(ARROW, mu_mor(m2), mu_mor(m1))
     assert lhs == rhs
 
 
@@ -277,22 +306,22 @@ def test_tmap_identity():
     ident = Fun(lambda o: o, lambda m: m)
     x = seq(("x", "y"))
     assert tmap(ident, x) == x
-    m = sym_mor(ALEV, x, SWAP)
+    m = sym_mor(ARROW, x, SWAP)
     assert tmap(ident, m) == m
 
 
 def test_tmap_componentwise():
     assert tmap(COLLAPSE, seq(("y", "y"))) == seq(("x", "x"))
     m = SeqMor(identity(1), ("f",))
-    assert tmap(COLLAPSE, m) == identity_seq(ALEV, seq(("x",)))
+    assert tmap(COLLAPSE, m) == identity_seq(ARROW, seq(("x",)))
 
 
 @settings(max_examples=40)
 @given(seq_mors())
 def test_tmap_functorial(m1):
     m2 = extend(m1)
-    lhs = tmap(COLLAPSE, compose_seq(ALEV, m2, m1))
-    rhs = compose_seq(ALEV, tmap(COLLAPSE, m2), tmap(COLLAPSE, m1))
+    lhs = tmap(COLLAPSE, compose_seq(ARROW, m2, m1))
+    rhs = compose_seq(ARROW, tmap(COLLAPSE, m2), tmap(COLLAPSE, m1))
     assert lhs == rhs
 
 
@@ -305,7 +334,7 @@ def test_strength_t2_objects():
 
 
 def test_strength_t2_morphisms():
-    m = sym_mor(ALEV, seq(("x", "y")), SWAP)
+    m = sym_mor(ARROW, seq(("x", "y")), SWAP)
     r = strength_t2_mor("f", m)
     assert FA2.src(r) == seq((("x", "y"), ("x", "x")))
     assert FA2.tgt(r) == seq((("y", "x"), ("y", "y")))
@@ -361,7 +390,7 @@ def test_strength_ti_factorizations():
 
 
 def test_strength_ti_mor():
-    m = sym_mor(ALEV, seq(("x", "y")), SWAP)
+    m = sym_mor(ARROW, seq(("x", "y")), SWAP)
     r = strength_ti_mor(3, 2, ("f", m, "id_y"))
     assert r.perm == SWAP
     assert FA3.src(r) == strength_ti(3, 2, ("x", FA.src(m), "y"))
@@ -472,10 +501,10 @@ def transpose_oracle(x, y):
 
 def test_gamma_transpose_2x2():
     x, y = seq(("a1", "a2")), seq(("b1", "b2"))
-    g = gamma_component(LLEV, LLEV, x, y)
+    g = gamma_component(LABELS, LABELS, x, y)
     assert g.perm == Perm((1, 3, 2, 4))
-    assert Free(Prod((LLEV, LLEV))).src(g) == omega(x, y)
-    assert Free(Prod((LLEV, LLEV))).tgt(g) == omega_prime(x, y)
+    assert Free(Prod((LABELS, LABELS))).src(g) == omega(x, y)
+    assert Free(Prod((LABELS, LABELS))).tgt(g) == omega_prime(x, y)
     assert all(
         LABELS.is_identity(c[0]) and LABELS.is_identity(c[1]) for c in g.components
     )
@@ -483,7 +512,7 @@ def test_gamma_transpose_2x2():
 
 def test_gamma_transpose_2x3():
     x, y = seq(("a1", "a2")), seq(("b1", "b2", "b3"))
-    g = gamma_component(LLEV, LLEV, x, y)
+    g = gamma_component(LABELS, LABELS, x, y)
     assert g.perm == Perm((1, 3, 5, 2, 4, 6))
     assert g.perm == transpose_oracle(x, y)
 
@@ -493,23 +522,23 @@ def test_gamma_label_matching_oracle():
         for m in range(4):
             x = seq(tuple(f"a{i+1}" for i in range(n)))
             y = seq(tuple(f"b{j+1}" for j in range(m)))
-            assert gamma_component(LLEV, LLEV, x, y).perm == transpose_oracle(x, y)
+            assert gamma_component(LABELS, LABELS, x, y).perm == transpose_oracle(x, y)
 
 
 def test_gamma_identity_when_singleton():
     x1, y = seq(("a1",)), seq(("b1", "b2"))
-    plev = Prod((LLEV, LLEV))
-    g = gamma_component(LLEV, LLEV, x1, y)
+    plev = Prod((LABELS, LABELS))
+    g = gamma_component(LABELS, LABELS, x1, y)
     assert g == identity_seq(plev, omega(x1, y))
-    h = gamma_component(LLEV, LLEV, y, x1)
+    h = gamma_component(LABELS, LABELS, y, x1)
     assert h == identity_seq(plev, omega(y, x1))
 
 
 def test_gamma_inverse():
     x, y = seq(("a1", "a2", "a3")), seq(("b1", "b2"))
-    plev = Prod((LLEV, LLEV))
-    g = gamma_component(LLEV, LLEV, x, y)
-    gi = gamma_inv_component(LLEV, LLEV, x, y)
+    plev = Prod((LABELS, LABELS))
+    g = gamma_component(LABELS, LABELS, x, y)
+    gi = gamma_inv_component(LABELS, LABELS, x, y)
     assert gi.perm == invert(g.perm)
     assert compose_seq(plev, gi, g) == identity_seq(plev, omega(x, y))
     assert compose_seq(plev, g, gi) == identity_seq(plev, omega_prime(x, y))
@@ -518,9 +547,9 @@ def test_gamma_inverse():
 @settings(max_examples=40)
 @given(seq_mors(max_len=2), seq_mors(max_len=2))
 def test_gamma_natural(p, q):
-    plev = Prod((ALEV, ALEV))
-    g_src = gamma_component(ALEV, ALEV, FA.src(p), FA.src(q))
-    g_tgt = gamma_component(ALEV, ALEV, FA.tgt(p), FA.tgt(q))
+    plev = Prod((ARROW, ARROW))
+    g_src = gamma_component(ARROW, ARROW, FA.src(p), FA.src(q))
+    g_tgt = gamma_component(ARROW, ARROW, FA.tgt(p), FA.tgt(q))
     lhs = compose_seq(plev, g_tgt, omega_mor(p, q))
     rhs = compose_seq(plev, omega_prime_mor(p, q), g_src)
     assert lhs == rhs
@@ -528,9 +557,9 @@ def test_gamma_natural(p, q):
 
 def test_symmetry_axiom():
     x, y = seq(("a1", "a2")), seq(("b1", "b2", "b3"))
-    plev = Prod((LLEV, LLEV))
-    g = gamma_component(LLEV, LLEV, x, y)
-    h = gamma_component(LLEV, LLEV, y, x)
+    plev = Prod((LABELS, LABELS))
+    g = gamma_component(LABELS, LABELS, x, y)
+    h = gamma_component(LABELS, LABELS, y, x)
     swap_pair = lambda e: (e[1], e[0])
     h_relabelled = tmap(Fun(swap_pair, swap_pair), h)
     assert compose_seq(plev, h_relabelled, g) == identity_seq(plev, omega(x, y))
@@ -541,14 +570,14 @@ def test_symmetry_axiom():
 
 def test_gamma_ij_binary_is_gamma():
     x, y = seq(("a1", "a2")), seq(("b1", "b2"))
-    g = gamma_ij_component((LLEV, LLEV), 2, 1, 2, (x, y))
-    assert g == gamma_component(LLEV, LLEV, x, y)
+    g = gamma_ij_component((LABELS, LABELS), 2, 1, 2, (x, y))
+    assert g == gamma_component(LABELS, LABELS, x, y)
 
 
 def test_gamma_ij_empty_slot():
     x, y = seq(()), seq(("b1",))
-    g = gamma_ij_component((LLEV, LLEV, LLEV), 3, 1, 3, (x, "c1", y))
-    free = Free(Prod((LLEV, LLEV, LLEV)))
+    g = gamma_ij_component((LABELS, LABELS, LABELS), 3, 1, 3, (x, "c1", y))
+    free = Free(Prod((LABELS, LABELS, LABELS)))
     assert free.src(g) == free.tgt(g) == seq(())
 
 
@@ -565,7 +594,7 @@ def test_gamma_ij_partition_independent():
                             pool[li] if k == i else pool[lj] if k == j else f"c{k}"
                             for k in range(1, n + 1)
                         )
-                        levels = tuple(LLEV for _ in range(n))
+                        levels = tuple(LABELS for _ in range(n))
                         results = {
                             gamma_ij_component(levels, n, i, j, args, K)
                             for K in partitions_for(n, i, j)
@@ -575,7 +604,7 @@ def test_gamma_ij_partition_independent():
 
 def test_gamma_ij_has_both_orders_as_inverses():
     x, y = seq(("a1", "a2")), seq(("b1", "b2"))
-    levels = (LLEV, LLEV, LLEV)
+    levels = (LABELS, LABELS, LABELS)
     args = (x, "c2", y)
     g = gamma_ij_component(levels, 3, 1, 3, args)
     h = gamma_ij_component(levels, 3, 3, 1, args)
@@ -588,7 +617,7 @@ def test_gamma_ij_has_both_orders_as_inverses():
 
 def test_gamma_ij_two_partitions_n3_agree():
     x, y = seq(("a1", "a2")), seq(("b1", "b2"))
-    levels = (LLEV, LLEV, LLEV)
+    levels = (LABELS, LABELS, LABELS)
     args = (x, "c2", y)
     k_wide = (0, 2, 3)
     k_tight = (0, 1, 3)
@@ -722,10 +751,10 @@ def test_mutations_flip_and_restore():
     from shufflecat.mutations import MUTATIONS, inject
 
     x, y = seq(("a1", "a2")), seq(("b1", "b2"))
-    clean = gamma_component(LLEV, LLEV, x, y)
+    clean = gamma_component(LABELS, LABELS, x, y)
     with inject("gamma-transpose-direction"):
-        assert gamma_component(LLEV, LLEV, x, y).perm == invert(clean.perm)
-    assert gamma_component(LLEV, LLEV, x, y) == clean
+        assert gamma_component(LABELS, LABELS, x, y).perm == invert(clean.perm)
+    assert gamma_component(LABELS, LABELS, x, y) == clean
     with inject("strength-slot-index"):
         assert strength_ti(2, 1, (x, "c")).entries == (("c", "a1"), ("c", "a2"))
     assert strength_ti(2, 1, (x, "c")).entries == (("a1", "c"), ("a2", "c"))
@@ -766,7 +795,7 @@ def revalidate(v):
 
 def kernel_calls(m, p, q, i):
     """(kernel, args) for every kernel that builds its result unchecked."""
-    flev = Free(ALEV)
+    flev = Free(ARROW)
     # p in the first slot and q in the second, swapped into place
     nested = SeqMor(SWAP, (p, q))
     plain_objs, plain_mors = ("x", "y", "x"), ("f", "id_y", "id_x")
@@ -777,8 +806,8 @@ def kernel_calls(m, p, q, i):
         (compose, (m.perm, invert(m.perm))),
         (invert, (m.perm,)),
         (block, (SWAP, [p.perm, q.perm])),
-        (identity_seq, (ALEV, FA.src(m))),
-        (compose_seq, (ALEV, extend(m), m)),
+        (identity_seq, (ARROW, FA.src(m))),
+        (compose_seq, (ARROW, extend(m), m)),
         (tmap, (COLLAPSE, m)),
         (tmap, (COLLAPSE, FA.tgt(m))),
         (tmap, (Fun(eta, eta_mor), m)),
@@ -791,8 +820,8 @@ def kernel_calls(m, p, q, i):
         (strength_ti_mor, (3, i, margs)),
         (omega_n, ((FA.src(p), FA.src(q), FA.src(m)),)),
         (omega_n_mor, ((p, q, m),)),
-        (gamma_component, (ALEV, ALEV, FA.src(p), FA.src(q))),
-        (gamma_ij_component, ((ALEV,) * 3, 3, 1, 3, (FA.src(p), "x", FA.src(q)))),
+        (gamma_component, (ARROW, ARROW, FA.src(p), FA.src(q))),
+        (gamma_ij_component, ((ARROW,) * 3, 3, 1, 3, (FA.src(p), "x", FA.src(q)))),
         (omega_sigma_mor, (SWAP, (p, q))),
     ]
 
@@ -822,13 +851,13 @@ def endpoint_cases(m, p, q, i):
     x, y = FA.src(p), FA.src(m)
     margs = ("f", "id_y", "id_x")[: i - 1] + (m,) + ("f", "id_y", "id_x")[i:]
     ends = [
-        tuple(FA.src(a) if isinstance(a, SeqMor) else ALEV.src(a) for a in margs),
-        tuple(FA.tgt(a) if isinstance(a, SeqMor) else ALEV.tgt(a) for a in margs),
+        tuple(FA.src(a) if isinstance(a, SeqMor) else ARROW.src(a) for a in margs),
+        tuple(FA.tgt(a) if isinstance(a, SeqMor) else ARROW.tgt(a) for a in margs),
     ]
     lift = Fun(eta, eta_mor)
     cases = [
-        ("identity_seq", FA, identity_seq(ALEV, x), (x, x)),
-        ("compose_seq", FA, compose_seq(ALEV, m2, m), (FA.src(m), FA.tgt(m2))),
+        ("identity_seq", FA, identity_seq(ARROW, x), (x, x)),
+        ("compose_seq", FA, compose_seq(ARROW, m2, m), (FA.src(m), FA.tgt(m2))),
         ("tmap", FFA, tmap(lift, m), (tmap(lift, FA.src(m)), tmap(lift, FA.tgt(m)))),
         ("eta_mor", FA, eta_mor("f"), (eta("x"), eta("y"))),
         ("mu_mor", FA, mu_mor(nested), (mu(FFA.src(nested)), mu(FFA.tgt(nested)))),
@@ -836,7 +865,7 @@ def endpoint_cases(m, p, q, i):
          tuple(strength_ti(3, i, e) for e in ends)),
         ("omega_n_mor", FA3, omega_n_mor((p, q, m)),
          tuple(omega_n((end(p), end(q), end(m))) for end in (FA.src, FA.tgt))),
-        ("gamma_component", FA2, gamma_component(ALEV, ALEV, x, y),
+        ("gamma_component", FA2, gamma_component(ARROW, ARROW, x, y),
          (omega(x, y), omega_prime(x, y))),
     ]
     return [(name, (free.src(v), free.tgt(v)), want) for name, free, v, want in cases]

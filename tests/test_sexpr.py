@@ -20,7 +20,6 @@ from shufflecat.calculus import (
     ApplyT,
     ApplyTCell,
     CELL_TYPES,
-    CatBase,
     Compose,
     Const,
     Eta,
@@ -49,7 +48,7 @@ from shufflecat.calculus import (
     eval_cell,
     fun_endpoints,
 )
-from shufflecat.fincat import FunTable
+from shufflecat.fincat import FinCat, FunTable
 from shufflecat.fixtures import builtin_base, builtin_monoid
 from shufflecat.freesmc import SeqMor, SeqObj
 from shufflecat.perms import Perm
@@ -685,8 +684,8 @@ def ref_top_cell_of(node, env: Env) -> CellExpr:
     return ref_cell_of(node, env)
 
 def ref_print_cat(c: CatExpr) -> str:
-    if isinstance(c, CatBase):
-        return c.cat.name
+    if isinstance(c, FinCat):
+        return c.name
     if isinstance(c, Prod):
         return "(prod" + "".join(" " + ref_print_cat(f) for f in c.factors) + ")"
     if isinstance(c, Free):
@@ -792,7 +791,7 @@ def assert_parses_as_reference(text):
 
 def ref_text(expr) -> str:
     """The reference printer's text for an expression of any kind."""
-    if isinstance(expr, (CatBase, Prod, Free)):
+    if isinstance(expr, (FinCat, Prod, Free)):
         return ref_print_cat(expr)
     return (ref_print_cell if isinstance(expr, CELL_TYPES) else ref_print_fun)(expr)
 

@@ -41,7 +41,6 @@ from shufflecat.algebras import (
 from shufflecat.calculus import (
     ApplyT,
     Budget,
-    CatBase,
     Compose,
     Const,
     Free,
@@ -79,9 +78,9 @@ from shufflecat.perms import (
     transposition,
 )
 
-D2 = CatBase(builtin_base("discrete2"))
-AR = CatBase(builtin_base("arrow"))
-TERM = CatBase(builtin_base("terminal"))
+D2 = builtin_base("discrete2")
+AR = builtin_base("arrow")
+TERM = builtin_base("terminal")
 Z2 = builtin_monoid("z2")
 
 BUD = Budget(max_seq_len=2, max_points=200, seed=0)
@@ -123,7 +122,7 @@ def test_free_algebra_object():
 
 def test_monoid_algebra_object():
     alg = MonoidAlg(Z2)
-    assert alg.carrier == CatBase(Z2.cat)
+    assert alg.carrier == Z2.cat
     assert alg.structure == MonoidEval(Z2)
 
 
@@ -188,8 +187,8 @@ def test_multitwocell_rejects_a_wrong_component():
 
 def test_unary_collapse_validates():
     table = FunTable(
-        AR.cat,
-        AR.cat,
+        AR,
+        AR,
         {"x": "x", "y": "x"},
         {"id_x": "id_x", "id_y": "id_x", "f": "id_x"},
     )

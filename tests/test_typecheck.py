@@ -17,7 +17,6 @@ from shufflecat.calculus import (
     ApplyTCell,
     Budget,
     BudgetError,
-    CatBase,
     Compose,
     Eta,
     Free,
@@ -57,7 +56,7 @@ ARROW = load_fincat(
         "compose": [],
     }
 )
-W = CatBase(ARROW)
+W = ARROW
 TW = Free(W)
 WW = Prod((W, W))
 BUD = Budget(max_seq_len=2)
