@@ -34,6 +34,7 @@ from .freesmc import (
     Prod,
     SeqMor,
     SeqObj,
+    _mor,
     eta,
     eta_mor,
     gamma_ij_component,
@@ -717,7 +718,7 @@ def _hcomp_component(e: HComp, x):
 
 def _applyt_component(e: ApplyTCell, x):
     comps = tuple([eval_cell(e.cell, v) for v in x.entries])
-    return SeqMor(perm_identity(len(comps)), comps)
+    return _mor(perm_identity(len(comps)), comps)
 
 
 _CELL_ACTIONS = {

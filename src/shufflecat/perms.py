@@ -7,6 +7,11 @@ Conventions, fixed once and used everywhere:
 - ``permute(seq, p)[i] == seq[p(i)]`` is the right action on sequences;
   ``act(p, seq)`` is its inverse action, placing entry ``i`` at slot ``p(i)``.
 
+``Perm(...)`` checks that its images are a bijection.  Every function here
+builds its result unchecked, from images that are a bijection by
+construction; among them ``all_perms``, the producer behind every sequence
+morphism the enumeration numbers.
+
 >>> compose(Perm((2, 3, 1)), Perm((2, 1, 3)))
 Perm((3, 2, 1))
 >>> permute(("a", "b", "c"), Perm((2, 3, 1)))
@@ -93,7 +98,7 @@ def transposition(n: int, i: int) -> Perm:
         raise ValueError(f"generator index {i} out of range for degree {n}")
     images = list(range(1, n + 1))
     images[i - 1], images[i] = images[i], images[i - 1]
-    return Perm(tuple(images))
+    return _perm(tuple(images))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -226,7 +231,7 @@ def reduced_words(p: Perm) -> set[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _reduced_words(images: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    p = Perm(images)
+    p = _perm(images)
     descents = right_descents(p)
     if not descents:
         return frozenset({()})
@@ -240,9 +245,9 @@ def _reduced_words(images: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
 
 def reversal(n: int) -> Perm:
     """The order-reversing permutation, the top of the weak right order."""
-    return Perm(tuple(range(n, 0, -1)))
+    return _perm(tuple(range(n, 0, -1)))
 
 
 def all_perms(n: int) -> list[Perm]:
     """Every permutation of degree n, in lexicographic image order."""
-    return [Perm(images) for images in itertools.permutations(range(1, n + 1))]
+    return [_perm(images) for images in itertools.permutations(range(1, n + 1))]

@@ -1,6 +1,8 @@
 """Textual s-expression syntax for expressions and typed object literals.
 
-The grammar is head-first, whitespace-separated, case-sensitive:
+The grammar is head-first, whitespace-separated, case-sensitive; whitespace
+is any character ``str.isspace`` accepts, and every other character but
+``(``, ``)`` and ``,`` belongs to a name:
 
     cat  := NAME | (prod cat*) | (free cat)
     fun  := (identity cat) | (compose fun+) | (tuple fun*)
@@ -44,7 +46,9 @@ Free(inner=Prod(factors=()))
 
 from __future__ import annotations
 
+import re
 import reprlib
+import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional
@@ -91,79 +95,75 @@ class Env:
 # -------------------------------------------------------------- tokens
 
 
-@dataclass(frozen=True)
 class _Atom:
-    text: str
-    offset: int
+    __slots__ = ("text", "offset")
+
+    def __init__(self, text: str, offset: int):
+        self.text, self.offset = text, offset
 
 
-@dataclass(frozen=True)
 class _Comma:
-    offset: int
+    __slots__ = ("offset",)
+
+    def __init__(self, offset: int):
+        self.offset = offset
 
 
-@dataclass(frozen=True)
 class _Group:
-    items: tuple
-    offset: int
+    """A parenthesized group; comma is the offset of its first comma item,
+    or None if it has none.  No comma reaches the parser as a node of its
+    own: the reader refuses one outside a group, and a group with one is
+    refused, or split at its commas, before its items are read."""
+
+    __slots__ = ("items", "offset", "comma")
+
+    def __init__(self, items: tuple, offset: int, comma: Optional[int]):
+        self.items, self.offset, self.comma = items, offset, comma
 
 
-_PUNCT = "(),"
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            toks.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCT:
-            j += 1
-        toks.append((text[i:j], i))
-        i = j
-    return toks
-
-
-def _read_node(toks, pos: int, end: int):
-    if pos >= len(toks):
-        raise ParseError("unexpected end of input", end)
-    tok, off = toks[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(toks):
-                raise ParseError("unclosed '('", off)
-            nxt, noff = toks[pos]
-            if nxt == ")":
-                return _Group(tuple(items), off), pos + 1
-            if nxt == ",":
-                items.append(_Comma(noff))
-                pos += 1
-                continue
-            node, pos = _read_node(toks, pos, end)
-            items.append(node)
-    if tok == ")":
-        raise ParseError("unbalanced ')'", off)
-    if tok == ",":
-        raise ParseError("unexpected ','", off)
-    return _Atom(tok, off), pos + 1
+# a token is one punctuation character or a run of anything else that is
+# not whitespace; for str patterns \s matches what str.isspace accepts
+_TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
 def _read(text: str):
-    toks = _tokenize(text)
-    if not toks:
+    """The one tree text spells, read in one pass with a stack of open
+    groups, each held as [items, offset, offset of its first comma]."""
+    limit = sys.getrecursionlimit()
+    tokens = _TOKEN.finditer(text)
+    stack = []
+    for m in tokens:
+        tok = m.group()
+        if tok == "(":
+            if len(stack) >= limit:
+                raise ParseError("expression nested too deeply", 0)
+            stack.append([[], m.start(), None])
+            continue
+        if tok == ")":
+            if not stack:
+                raise ParseError("unbalanced ')'", m.start())
+            items, off, comma = stack.pop()
+            node = _Group(tuple(items), off, comma)
+        elif tok == ",":
+            if not stack:
+                raise ParseError("unexpected ','", m.start())
+            top = stack[-1]
+            if top[2] is None:
+                top[2] = m.start()
+            top[0].append(_Comma(m.start()))
+            continue
+        else:
+            node = _Atom(tok, m.start())
+        if not stack:
+            break
+        stack[-1][0].append(node)
+    else:
+        if stack:
+            raise ParseError("unclosed '('", stack[-1][1])
         raise ParseError("empty input", 0)
-    node, pos = _read_node(toks, 0, len(text))
-    if pos != len(toks):
-        raise ParseError("trailing text after expression", toks[pos][1])
+    extra = next(tokens, None)
+    if extra is not None:
+        raise ParseError("trailing text after expression", extra.start())
     return node
 
 
@@ -220,13 +220,10 @@ _TEXT_FIELDS = {Strength: ("i", "slots"), MonoidEval: (), MonoidMult: ("n",)}
 def _expr_group(node, kind: str):
     """Head and argument nodes of an expression group; commas are only
     meaningful inside object literals."""
-    if isinstance(node, _Comma):
-        raise ParseError("unexpected ','", node.offset)
     if isinstance(node, _Atom):
         raise ParseError(f"expected a {kind} expression, got atom {node.text!r}", node.offset)
-    for item in node.items:
-        if isinstance(item, _Comma):
-            raise ParseError("unexpected ',' in expression", item.offset)
+    if node.comma is not None:
+        raise ParseError("unexpected ',' in expression", node.comma)
     if not node.items or not isinstance(node.items[0], _Atom):
         raise ParseError(f"expected a {kind} expression head", node.offset)
     head = node.items[0]
@@ -411,8 +408,6 @@ _PRINTED_BY = {h.ctor: h for h in reversed(_HEADS.values())}
 
 
 def _obj_of(node, c: CatExpr, env: Env):
-    if isinstance(node, _Comma):
-        raise ParseError("unexpected ','", node.offset)
     if isinstance(c, FinCat):
         if not isinstance(node, _Atom):
             raise ParseError(f"expected an object name of {c.name!r}", node.offset)
@@ -436,9 +431,8 @@ def _obj_of(node, c: CatExpr, env: Env):
             out.append(_obj_of(group[0], factor, env))
         return tuple(out)
     if isinstance(c, Free):
-        for item in node.items:
-            if isinstance(item, _Comma):
-                raise ParseError("sequence entries are separated by spaces, not ','", item.offset)
+        if node.comma is not None:
+            raise ParseError("sequence entries are separated by spaces, not ','", node.comma)
         return SeqObj(tuple(_obj_of(n, c.inner, env) for n in node.items))
     raise ParseError("cannot parse a literal for this category expression", node.offset)
 

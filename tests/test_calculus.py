@@ -235,6 +235,33 @@ def test_identities_are_units_for_composition(c):
         assert c.comp(c.identity(c.tgt(m)), m) == m == c.comp(m, c.identity(c.src(m)))
 
 
+# the domains whose morphisms the benchmark's deep-enum suites (monad.laws
+# and strength.laws over arrow) enumerate; the associativity of mu reaches
+# one level deeper, at sequences of at most 2 entries
+FW, FFW = Free(W), Free(Free(W))
+DEEP_ENUM_DOMAINS = [W, FW, FFW, Prod((W, W)), Prod((FW, W)), Prod((FW, FW)), Prod((FFW, W)),
+                     Prod((W, FFW)), Free(FFW)]
+
+
+def test_enumeration_validates_no_permutation(monkeypatch):
+    # every permutation the enumeration reads is built a bijection, so
+    # none is passed through the public constructor's check
+    checked = []
+    validate = Perm.__post_init__
+
+    def counted(p):
+        checked.append(p.images)
+        validate(p)
+
+    monkeypatch.setattr(Perm, "__post_init__", counted)
+    bud = Budget(max_seq_len=6, max_nest=2, max_points=60)
+    deeper = Budget(max_seq_len=2, max_nest=3, max_points=60)
+    for c in DEEP_ENUM_DOMAINS:
+        mors, _ = enumerate_morphisms(c, bud if free_depth(c) <= 2 else deeper)
+        assert mors
+    assert len(checked) == 0
+
+
 # ---------------------------------------------------------------- eval_fun
 
 

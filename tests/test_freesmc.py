@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflecat import freesmc
+from shufflecat.calculus import ApplyTCell, Gamma, eval_cell
 from shufflecat.fincat import load_fincat
 from shufflecat.freesmc import (
     Free,
@@ -44,7 +45,9 @@ from shufflecat.freesmc import (
     tmap,
 )
 from shufflecat.mutations import MUTATIONS, inject
-from shufflecat.perms import Perm, all_perms, block, compose, identity, invert, permute
+from shufflecat.perms import (
+    Perm, all_perms, block, compose, identity, invert, permute, reversal, transposition,
+)
 
 ARROW = load_fincat(
     {
@@ -788,7 +791,7 @@ def revalidate(v):
         assert SeqMor(v.perm, v.components) == v
         revalidate(v.perm)
         revalidate(v.components)
-    elif isinstance(v, tuple):
+    elif isinstance(v, (tuple, list)):
         for part in v:
             revalidate(part)
 
@@ -801,8 +804,13 @@ def kernel_calls(m, p, q, i):
     plain_objs, plain_mors = ("x", "y", "x"), ("f", "id_y", "id_x")
     args = plain_objs[: i - 1] + (FA.src(m),) + plain_objs[i:]
     margs = plain_mors[: i - 1] + (m,) + plain_mors[i:]
+    # the interchange of each entry's pair of sequences, lifted to the sequence
+    pairs = SeqObj(((FA.src(p), FA.src(q)), (FA.src(m), FA.src(p))))
     return [
         (identity, (m.perm.degree,)),
+        (transposition, (4, i)),
+        (reversal, (m.perm.degree,)),
+        (all_perms, (m.perm.degree,)),
         (compose, (m.perm, invert(m.perm))),
         (invert, (m.perm,)),
         (block, (SWAP, [p.perm, q.perm])),
@@ -823,6 +831,7 @@ def kernel_calls(m, p, q, i):
         (gamma_component, (ARROW, ARROW, FA.src(p), FA.src(q))),
         (gamma_ij_component, ((ARROW,) * 3, 3, 1, 3, (FA.src(p), "x", FA.src(q)))),
         (omega_sigma_mor, (SWAP, (p, q))),
+        (eval_cell, (ApplyTCell(Gamma((ARROW, ARROW))), pairs)),
     ]
 
 

@@ -266,3 +266,8 @@ def test_word_evaluation_order_matches_right_multiplication():
 
 def test_all_perms_count():
     assert [len(all_perms(n)) for n in range(5)] == [1, 1, 2, 6, 24]
+
+
+def test_all_perms_are_the_bijections_in_lexicographic_order():
+    for n in range(7):
+        assert all_perms(n) == [Perm(p) for p in itertools.permutations(range(1, n + 1))]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -443,14 +444,93 @@ def test_literals_reject_values_of_another_category(show, c, v, message):
     assert str(exc.value) == message
 
 
-# -- the parser and printer as first written, as an oracle ------------------
+# -- the reader, parser and printer as first written, as an oracle ----------
 #
 # Before one syntax table described every head, each head was written down
 # three times: in a set of heads, in an `if head ==` chain of the parser and
 # in an `isinstance` chain of the printer.  That code, copied below, is the
 # reference: on printed and on malformed text the parser must give an equal
 # expression or the same error at the same offset, and the printer the same
-# text.
+# text.  The reference reads text with the reader it had then, which went
+# through the text one character at a time and read each group by recursion;
+# it builds its own tree nodes and shares no code with the library's reader.
+
+
+@dataclass(frozen=True)
+class RefAtom:
+    text: str
+    offset: int
+
+
+@dataclass(frozen=True)
+class RefComma:
+    offset: int
+
+
+@dataclass(frozen=True)
+class RefGroup:
+    items: tuple
+    offset: int
+
+
+REF_PUNCT = "(),"
+
+
+def ref_tokenize(text: str):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in REF_PUNCT:
+            toks.append((ch, i))
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in REF_PUNCT:
+            j += 1
+        toks.append((text[i:j], i))
+        i = j
+    return toks
+
+
+def ref_read_node(toks, pos: int, end: int):
+    if pos >= len(toks):
+        raise ParseError("unexpected end of input", end)
+    tok, off = toks[pos]
+    if tok == "(":
+        items = []
+        pos += 1
+        while True:
+            if pos >= len(toks):
+                raise ParseError("unclosed '('", off)
+            nxt, noff = toks[pos]
+            if nxt == ")":
+                return RefGroup(tuple(items), off), pos + 1
+            if nxt == ",":
+                items.append(RefComma(noff))
+                pos += 1
+                continue
+            node, pos = ref_read_node(toks, pos, end)
+            items.append(node)
+    if tok == ")":
+        raise ParseError("unbalanced ')'", off)
+    if tok == ",":
+        raise ParseError("unexpected ','", off)
+    return RefAtom(tok, off), pos + 1
+
+
+def ref_read(text: str):
+    toks = ref_tokenize(text)
+    if not toks:
+        raise ParseError("empty input", 0)
+    node, pos = ref_read_node(toks, 0, len(text))
+    if pos != len(toks):
+        raise ParseError("trailing text after expression", toks[pos][1])
+    return node
+
 
 REF_CAT_HEADS = frozenset({"prod", "free"})
 REF_FUN_HEADS = frozenset(
@@ -490,14 +570,14 @@ REF_ALL_HEADS = REF_CAT_HEADS | REF_FUN_HEADS | REF_CELL_HEADS | {"perm"}
 def ref_expr_group(node, kind: str):
     """Head and argument nodes of an expression group; commas are only
     meaningful inside object literals."""
-    if isinstance(node, _Comma):
+    if isinstance(node, RefComma):
         raise ParseError("unexpected ','", node.offset)
-    if isinstance(node, _Atom):
+    if isinstance(node, RefAtom):
         raise ParseError(f"expected a {kind} expression, got atom {node.text!r}", node.offset)
     for item in node.items:
-        if isinstance(item, _Comma):
+        if isinstance(item, RefComma):
             raise ParseError("unexpected ',' in expression", item.offset)
-    if not node.items or not isinstance(node.items[0], _Atom):
+    if not node.items or not isinstance(node.items[0], RefAtom):
         raise ParseError(f"expected a {kind} expression head", node.offset)
     head = node.items[0]
     return head.text, node.items[1:], head.offset
@@ -510,7 +590,7 @@ def ref_arity(head: str, items, low: int, high, offset: int):
 
 
 def ref_int_of(node) -> int:
-    if not isinstance(node, _Atom):
+    if not isinstance(node, RefAtom):
         raise ParseError("expected an integer", node.offset)
     try:
         return int(node.text)
@@ -527,9 +607,9 @@ def ref_wrong_kind(head: str, want: str, offset: int):
 
 
 def ref_cat_of(node, env: Env) -> CatExpr:
-    if isinstance(node, _Comma):
+    if isinstance(node, RefComma):
         raise ParseError("unexpected ','", node.offset)
-    if isinstance(node, _Atom):
+    if isinstance(node, RefAtom):
         if node.text in REF_ALL_HEADS:
             raise ParseError(f"expected a category name, got reserved word {node.text!r}", node.offset)
         return env.cat(node.text)
@@ -674,7 +754,7 @@ def ref_cell_of(node, env: Env) -> CellExpr:
     ref_wrong_kind(head, "2-cell", off)
 
 def ref_top_cell_of(node, env: Env) -> CellExpr:
-    if isinstance(node, _Group) and node.items and isinstance(node.items[0], _Atom):
+    if isinstance(node, RefGroup) and node.items and isinstance(node.items[0], RefAtom):
         head = node.items[0].text
         if head in REF_FUN_HEADS:
             raise ParseError(
@@ -756,7 +836,7 @@ def ref_print_cell(e: CellExpr) -> str:
 
 def ref_parse(build, text, env):
     try:
-        return build(_read(text), env)
+        return build(ref_read(text), env)
     except RecursionError:
         raise ParseError("expression nested too deeply", 0) from None
 
@@ -780,7 +860,26 @@ def assert_prints_as_reference(x):
         assert _outcome(new, x) == _outcome(ref, x), (new.__name__, x)
 
 
+def tree_of(node):
+    """A tree of either reader as nested tuples; a library group must
+    also record the offset of its first comma."""
+    if isinstance(node, (RefAtom, _Atom)):
+        return ("atom", node.text, node.offset)
+    if isinstance(node, (RefComma, _Comma)):
+        return ("comma", node.offset)
+    if isinstance(node, _Group):
+        commas = [item.offset for item in node.items if isinstance(item, _Comma)]
+        assert node.comma == (commas[0] if commas else None)
+    return ("group", node.offset, tuple(tree_of(item) for item in node.items))
+
+
+def assert_reads_as_reference(text):
+    got = _outcome(lambda: tree_of(_read(text)))
+    assert got == _outcome(lambda: tree_of(ref_read(text))), text
+
+
 def assert_parses_as_reference(text):
+    assert_reads_as_reference(text)
     for env in (ENV, BARE):
         for new, ref in PARSERS:
             got = _outcome(new, text, env)
@@ -878,6 +977,41 @@ def test_malformed_text_fails_as_the_reference(text):
 ])
 def test_edge_texts_fail_as_the_reference(text):
     assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize("space", ["\x1c", "\u00a0", "\u2003"])
+def test_every_unicode_space_separates_as_the_reference(space):
+    for text in ["(gamma A B)", "(idcell (identity A))", "((x y),(y))", "(gamma A", " , x"]:
+        assert_parses_as_reference(text.replace(" ", space))
+        assert_reads_as_reference(space + text.replace(" ", space * 2) + space)
+    assert_reads_as_reference(space)
+    assert _outcome(parse_cell, f"(gamma{space}A{space}B)", ENV) == ("ok", Gamma((A, A)))
+
+
+SPACES = ["", " ", "\t\n", "\x1c", "\u00a0", "\u2003"]
+READER_TREES = st.recursive(st.sampled_from(["x", "A1", "-2", ","]),
+                            lambda kids: st.lists(kids, max_size=4), max_leaves=12)
+
+
+@st.composite
+def reader_texts(draw):
+    """Text for the reader alone: a tree of atoms, commas and groups spelled
+    with any whitespace, then cut short or run on by a few characters."""
+    def spell(tree):
+        if isinstance(tree, str):
+            return tree
+        return "(" + "".join(draw(st.sampled_from(SPACES)) + spell(t) for t in tree) + ")"
+
+    text = spell(draw(READER_TREES)) + draw(st.sampled_from(SPACES))
+    if draw(st.booleans()):
+        return text[:draw(st.integers(0, len(text)))]
+    return text + draw(st.text(alphabet="(),x" + "".join(SPACES), max_size=3))
+
+
+@given(reader_texts())
+@settings(max_examples=500, deadline=None)
+def test_any_text_reads_as_the_reference(text):
+    assert_reads_as_reference(text)
 
 
 def test_opaque_values_print_as_the_reference():
