@@ -48,6 +48,7 @@ from .calculus import (
     VComp,
     WhiskerL,
     WhiskerR,
+    bundle,
     cell_endpoints,
     cell_facts,
     equal_cell,
@@ -275,25 +276,6 @@ def _coherence_check(m: MultiCell, i: int, j: int, bud: Budget) -> Report:
         )
     )
     return equal_cell(one, two, _fit(bud, Prod(d_ij)))
-
-
-def bundle(named: Sequence[tuple[str, Report]]) -> Report:
-    """One report for a list of named sub-reports.
-
-    Points are summed and truncation is kept over every sub-report; the
-    bundle fails with the phase, detail and counterexample of the first
-    failing one, whose name goes into ``counterexample["check"]``.
-    """
-    points = sum(r.points for _, r in named)
-    truncated = any(r.truncated for _, r in named)
-    for name, r in named:
-        if not r.passed:
-            ce = dict(r.counterexample or {})
-            ce["check"] = name
-            return Report(kind="bundle", passed=False, points=points,
-                          truncated=truncated, phase=r.phase,
-                          counterexample=ce, detail=r.detail)
-    return Report(kind="bundle", passed=True, points=points, truncated=truncated)
 
 
 def validate_onecell(m: MultiCell, bud: Budget) -> Report:

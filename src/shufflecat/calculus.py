@@ -13,7 +13,9 @@ bounded enumeration of the domain: smallest inputs first, so the first
 reported counterexample is a minimal one.  When the space is larger than
 the point budget, a seeded uniform sample is checked and the report says
 so.  The category expressions number their own values; this module
-sorts and samples them, with one body for objects and morphisms.
+sorts and samples them, with one body for objects and morphisms.  Every
+check, here and in the suites, walks its points through one loop, which
+counts them also when it fails; ``bundle`` joins sub-check reports.
 
 Typechecking a cell visits each sub-cell once.  A check typechecks its
 cells once, and evaluation at every point reads each cell node's source,
@@ -794,11 +796,27 @@ def _first_failure(points, compare, count: int = 0) -> tuple:
 
 def _report(kind: str, points: int, truncated: bool, failure,
             phase: str = "components", detail: str = "") -> Report:
-    """The report of a walk; detail, when given, replaces the failure's."""
-    if failure is None:
-        return Report(kind, True, points, truncated, phase)
-    counterexample, found = failure
-    return Report(kind, False, points, truncated, phase, counterexample, detail or found)
+    """Every report is made here: that of a walk, passed when failure is
+    None; detail, when given, replaces the failure's."""
+    counterexample, found = failure or (None, "")
+    return Report(kind, failure is None, points, truncated, phase, counterexample,
+                  detail or found)
+
+
+def bundle(named) -> Report:
+    """One report for a list of (name, sub-report) pairs.
+
+    Points are summed and truncation is kept over every sub-report; the
+    bundle fails with the phase, detail and counterexample of the first
+    failing one, whose name goes into ``counterexample["check"]``.
+    """
+    points = sum(r.points for _, r in named)
+    truncated = any(r.truncated for _, r in named)
+    for name, r in named:
+        if not r.passed:
+            return _report("bundle", points, truncated,
+                           ({**(r.counterexample or {}), "check": name}, r.detail), r.phase)
+    return _report("bundle", points, truncated, None)
 
 
 def _check_same_categories(ends, other_ends) -> None:

@@ -5,12 +5,14 @@ plain language, and a builder that turns fixtures plus a budget into a
 list of named checks.  A check is ``(name, partial(fn, *inputs))`` with
 ``fn`` a checker or a check function of this module; called, it builds
 every composite of algebra cells itself and returns one ``Report``, the
-``bundle`` of its sub-checks if it has several.  So building a suite
-evaluates nothing, and a check pickles and shows its inputs.  The
-mirrored laws share one builder, registered once per suite id with the
-side as an argument.  Reports are deterministic for a fixed context;
-wall-clock times are attached only on request so repeated runs serialize
-to identical bytes.
+``calculus.bundle`` of its sub-checks if it has several.  So building a
+suite evaluates nothing, and a check pickles and shows its inputs.  Like
+the checkers, a check function walks its points through the calculus
+loop: a failing report counts the points walked, and an evaluation error
+is a counterexample at its point.  The mirrored laws share one builder,
+registered once per suite id with the side as an argument.  Reports are
+deterministic for a fixed context; wall-clock times are attached only on
+request so repeated runs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .algebras import (
     _with_free,
     _with_perm,
     bruhat_omega,
-    bundle,
     free_multi,
     gamma_compose,
     identity_cell,
@@ -83,7 +84,9 @@ from .calculus import (
     VComp,
     WhiskerL,
     WhiskerR,
-    _EVAL_ERRORS,
+    _first_failure,
+    _report,
+    bundle,
     cell_endpoints,
     enumerate_morphisms,
     equal_cell,
@@ -158,11 +161,17 @@ def _collapse(cat: FinCat):
     return FunBase(table)
 
 
-def _fact(passed: bool, detail: str, points: int = 1) -> Report:
-    ce = None if passed else {"note": detail}
-    return Report(kind="structural", passed=passed, points=points,
-                  truncated=False, phase="structural",
-                  counterexample=ce, detail=detail)
+def _broke(detail: str) -> tuple:
+    """The failure of a structural fact, noted by its detail."""
+    return {"note": detail}, detail
+
+
+def _structural(points: int, failure, detail: str = "") -> Report:
+    return _report("structural", points, False, failure, "structural", detail)
+
+
+def _fact(passed: bool, detail: str) -> Report:
+    return _structural(1, None if passed else _broke(detail), detail)
 
 
 # Slots lo and lo+1 of a triple of one category A grouped into a pair:
@@ -231,40 +240,26 @@ def _mu_functoriality(A: CatExpr, bud: Budget) -> Report:
     # composable pairs of nested sequence morphisms exercise the
     # component re-indexing that plain domain points never reach
     dom, flat, mu = Free(Free(A)), Free(A), Mu(A)
-    b2 = replace(bud, max_seq_len=min(bud.max_seq_len, 2),
-                 max_points=min(bud.max_points, 800))
+    b2 = _points(_seq(bud, 2), 800)
     mors, truncated = enumerate_morphisms(dom, b2)
     by_src: dict = {}
     for m in mors:
         by_src.setdefault(dom.src(m), []).append(m)
-    cap = min(bud.max_points, 800)
-    count = 0
-    for m1 in mors:
-        for m2 in by_src.get(dom.tgt(m1), ()):
-            if count >= cap:
-                truncated = True
-                break
-            count += 1
-            try:
-                lhs = eval_fun_mor(mu, dom.comp(m2, m1))
-                rhs = flat.comp(eval_fun_mor(mu, m2), eval_fun_mor(mu, m1))
-                ok = lhs == rhs
-                note = ""
-            except _EVAL_ERRORS as err:
-                ok, lhs, rhs = False, None, None
-                note = f"{type(err).__name__}: {err}"
-            if not ok:
-                return Report(
-                    kind="fun-equality", passed=False, points=count,
-                    truncated=truncated, phase="composition",
-                    counterexample={
-                        "first": show_value(m1), "second": show_value(m2),
-                        "left": show_value(lhs), "right": show_value(rhs),
-                        "note": note})
-        if count >= cap:
-            break
-    return Report(kind="fun-equality", passed=True, points=count,
-                  truncated=truncated, phase="composition")
+    composable = ((m1, m2) for m1 in mors for m2 in by_src.get(dom.tgt(m1), ()))
+    # one pair past the cap says whether the walk is truncated
+    pairs = list(itertools.islice(composable, b2.max_points + 1))
+
+    def compare(pair):
+        m1, m2 = pair
+        lhs = eval_fun_mor(mu, dom.comp(m2, m1))
+        rhs = flat.comp(eval_fun_mor(mu, m2), eval_fun_mor(mu, m1))
+        return None if lhs == rhs else (
+            {"first": show_value(m1), "second": show_value(m2),
+             "left": show_value(lhs), "right": show_value(rhs), "note": ""}, "")
+
+    count, failure = _first_failure(pairs[:b2.max_points], compare)
+    return _report("fun-equality", count, truncated or len(pairs) > b2.max_points,
+                   failure, "composition")
 
 
 @_suite("monad.laws",
@@ -275,8 +270,7 @@ def _monad_laws(ctx: SuiteContext) -> list[Check]:
     A, bud = ctx.base, ctx.bud
     fb = _collapse(A)
     p = _points(bud, 2000)
-    assoc = replace(bud, max_nest=3, max_seq_len=min(bud.max_seq_len, 2),
-                    max_points=min(bud.max_points, 4000))
+    assoc = replace(_points(_seq(bud, 2), 4000), max_nest=3)
     return [
         ("eta-then-mu", partial(
             equal_fun, Compose((Eta(Free(A)), Mu(A))), Identity(Free(A)), p)),
@@ -845,50 +839,46 @@ def _bruhat(ctx: SuiteContext) -> list[Check]:
 
 def _operad_associativity() -> Report:
     pool = {1: all_perms(1), 2: all_perms(2)}
-    count = 0
-    for s in all_perms(2):
-        for k1, k2 in ((1, 2), (2, 1), (2, 2)):
-            for t1 in pool[k1]:
-                for t2 in pool[k2]:
-                    rs = [pool[m] for m in ([1, 2] * 2)[: k1 + k2]]
-                    for combo in itertools.product(*rs):
-                        count += 1
-                        lhs = block(block(s, [t1, t2]), list(combo))
-                        rhs = block(s, [block(t1, list(combo[:k1])),
-                                        block(t2, list(combo[k1:]))])
-                        if lhs != rhs:
-                            return _fact(False, f"associativity broke at {s}, "
-                                                f"{(t1, t2)}, {combo}")
-    return _fact(True, "", count)
+    points = [(s, (t1, t2), combo) for s in all_perms(2)
+              for k1, k2 in ((1, 2), (2, 1), (2, 2))
+              for t1 in pool[k1] for t2 in pool[k2]
+              for combo in itertools.product(*(pool[m] for m in (1, 2, 1, 2)[: k1 + k2]))]
+
+    def compare(point):
+        s, (t1, t2), combo = point
+        k1 = t1.degree
+        lhs = block(block(s, [t1, t2]), list(combo))
+        rhs = block(s, [block(t1, list(combo[:k1])), block(t2, list(combo[k1:]))])
+        return None if lhs == rhs else _broke(
+            f"associativity broke at {s}, {(t1, t2)}, {combo}")
+
+    return _structural(*_first_failure(points, compare))
 
 
 def _operad_units() -> Report:
-    count = 0
-    for n in (1, 2, 3):
-        for s in all_perms(n):
-            count += 2
-            if block(perms.identity(1), [s]) != s:
-                return _fact(False, f"left unit broke at {s}")
-            if block(s, [perms.identity(1)] * n) != s:
-                return _fact(False, f"right unit broke at {s}")
-    return _fact(True, "", count)
+    def compare(point):
+        side, s = point
+        unit = perms.identity(1)
+        got = block(unit, [s]) if side == "left" else block(s, [unit] * s.degree)
+        return None if got == s else _broke(f"{side} unit broke at {s}")
+
+    return _structural(*_first_failure(
+        [(side, s) for n in (1, 2, 3) for s in all_perms(n) for side in ("left", "right")],
+        compare))
 
 
 def _operad_equivariance() -> Report:
-    count = 0
-    for s in all_perms(2):
-        for pi in all_perms(2):
-            for t1 in all_perms(2):
-                for t2 in all_perms(1) + all_perms(2):
-                    count += 1
-                    ts = [t1, t2]
-                    rearranged = [ts[pi(l) - 1] for l in (1, 2)]
-                    ids = [perms.identity(t.degree) for t in rearranged]
-                    lhs = block(perms.compose(s, pi), rearranged)
-                    rhs = perms.compose(block(s, ts), block(pi, ids))
-                    if lhs != rhs:
-                        return _fact(False, f"equivariance broke at {s}, {pi}, {ts}")
-    return _fact(True, "", count)
+    def compare(point):
+        s, pi, ts = point
+        rearranged = [ts[pi(l) - 1] for l in (1, 2)]
+        ids = [perms.identity(t.degree) for t in rearranged]
+        lhs = block(perms.compose(s, pi), rearranged)
+        rhs = perms.compose(block(s, ts), block(pi, ids))
+        return None if lhs == rhs else _broke(f"equivariance broke at {s}, {pi}, {ts}")
+
+    return _structural(*_first_failure(
+        [(s, pi, [t1, t2]) for s in all_perms(2) for pi in all_perms(2)
+         for t1 in all_perms(2) for t2 in all_perms(1) + all_perms(2)], compare))
 
 
 @_suite("esigma.operad",
@@ -1029,20 +1019,18 @@ def _multicat(ctx: SuiteContext) -> list[Check]:
 
 def _fold_homomorphism(alg: MonoidAlg) -> Report:
     monoid = alg.monoid
-    count = 0
-    seqs = [tuple(s) for n in range(3)
-            for s in itertools.product(monoid.elements, repeat=n)]
-    if monoid_algebra_eval(alg, ()) != monoid.unit:
-        return _fact(False, "empty fold is not the unit")
-    for s1 in seqs:
-        for s2 in seqs:
-            count += 1
-            joint = monoid_algebra_eval(alg, s1 + s2)
-            split = monoid.mult(monoid_algebra_eval(alg, s1),
-                                monoid_algebra_eval(alg, s2))
-            if joint != split:
-                return _fact(False, f"fold broke at {s1} ++ {s2}")
-    return _fact(True, "", count)
+    seqs = [s for n in range(3) for s in itertools.product(monoid.elements, repeat=n)]
+
+    def compare(pair):
+        s1, s2 = pair
+        joint = monoid_algebra_eval(alg, s1 + s2)
+        # the first point, () ++ (), also checks that the empty fold is the unit
+        if not (s1 or s2) and joint != monoid.unit:
+            return _broke("empty fold is not the unit")
+        split = monoid.mult(monoid_algebra_eval(alg, s1), monoid_algebra_eval(alg, s2))
+        return None if joint == split else _broke(f"fold broke at {s1} ++ {s2}")
+
+    return _structural(*_first_failure(itertools.product(seqs, repeat=2), compare))
 
 
 def _bracketed_multiplications(alg: MonoidAlg, bud: Budget) -> Report:
@@ -1175,8 +1163,7 @@ def run_suites(ids, ctx: SuiteContext, timings: bool = False) -> list[dict]:
                 report = thunk()
             except BudgetError as exc:
                 # the check could not run at this budget; the others still can
-                report = Report(kind="harness", passed=False, points=0,
-                                truncated=False, phase="harness", detail=str(exc))
+                report = _report("harness", 0, False, (None, str(exc)), "harness")
             checks.append({"name": name, **report.to_dict()})
         entry = {
             "suite": ident,

@@ -12,6 +12,7 @@ import inspect
 import itertools
 import json
 import math
+import pathlib
 import typing
 
 import pytest
@@ -971,16 +972,21 @@ def test_one_walk_reports_what_the_old_checkers_did(mutation, checks, bud):
 
 
 def test_reports_are_built_in_one_helper():
+    # every module of the library, not only calculus, builds its reports
+    # through calculus._report
     tree = ast.parse(inspect.getsource(calculus))
     helper = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_report")
 
     def report_calls(root):
         return [node for node in ast.walk(root) if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name) and node.func.id == "Report"]
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Report"]
 
     assert report_calls(helper)
     assert report_calls(tree) == report_calls(helper)
+    for path in sorted(pathlib.Path(calculus.__file__).parent.glob("*.py")):
+        if path.name != "calculus.py":
+            assert not report_calls(ast.parse(path.read_text())), path.name
 
 
 # ------------------------------------------------- numbering, against an oracle

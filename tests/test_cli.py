@@ -5,6 +5,7 @@
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -31,6 +32,13 @@ def test_validate_accepts_the_shipped_fixtures(tmp_path, capsys):
     mon = tmp_path / "z2.json"
     mon.write_text(json.dumps(builtin_monoid_doc("z2")))
     paths.append(str(mon))
+    # README validates and runs the copies under fixtures/ at the root of
+    # the repository; they must not drift from the packaged documents
+    shipped = sorted((pathlib.Path(__file__).parent.parent / "fixtures").glob("*.json"))
+    assert [p.stem for p in shipped] == sorted([*builtin_base_names(), "z2"])
+    for p in shipped:
+        assert json.loads(p.read_text()) == load_json_resource(p.name), p.name
+        paths.append(str(p))
 
     assert cli.main(["validate", *paths]) == 0
     out = capsys.readouterr().out

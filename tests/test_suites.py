@@ -7,8 +7,9 @@ import pickle
 
 import pytest
 
-from shufflecat import algebras, suites
+from shufflecat import algebras, perms, suites
 from shufflecat.calculus import Budget, CatBase
+from shufflecat.fincat import CommMonoid
 from shufflecat.fixtures import builtin_base, builtin_monoid
 from shufflecat.mutations import inject
 from shufflecat.suites import (
@@ -169,3 +170,92 @@ def test_each_mutation_is_caught(mutation):
     with inject(mutation):
         results = run_suites([witness], ctx)
     assert results[0]["passed"] is False
+
+
+# ------------------------------------------------- faults inside a walk
+#
+# Each check below walks its points through calculus._first_failure.  A
+# fault injected at call n of a function the check calls must fail the
+# point that made call n, and the report must count the points walked up
+# to it.  As n runs over every call an honest run makes, the reported
+# points then climb from 1 to the honest count one point at a time, which
+# no per-point call count has to be known for.
+
+
+def _wrong_at(real, n: int, wrong):
+    """real, counting its calls in .calls, except that call number n
+    (none, if n is 0) returns wrong(result), or raises if wrong does."""
+    def faulty(*args):
+        faulty.calls += 1
+        out = real(*args)
+        return wrong(out) if faulty.calls == n else out
+
+    faulty.calls = 0
+    return faulty
+
+
+def _raise_index_error(_):
+    raise IndexError("injected fault")
+
+
+def _reports_under_faults(monkeypatch, owner, attr, check, wrong):
+    """The honest report of check and its report with each call of
+    owner.attr, in turn, gone wrong."""
+    real = getattr(owner, attr)
+    counter = _wrong_at(real, 0, wrong)
+    monkeypatch.setattr(owner, attr, counter)
+    honest = check()
+    faulted = []
+    for n in range(1, counter.calls + 1):
+        monkeypatch.setattr(owner, attr, _wrong_at(real, n, wrong))
+        faulted.append(check())
+    monkeypatch.setattr(owner, attr, real)
+    return honest, faulted
+
+
+def _one_more_slot(p):
+    # a permutation of the wrong degree: no equation of the walk holds for it
+    return perms.identity(p.degree + 1)
+
+
+def _other_element(x):
+    return "1" if x == "0" else "0"
+
+
+FAULTS = {
+    # suite, check, owner of the faulted function, its name, a wrong value
+    "block": ("esigma.operad", None, suites, "block", _one_more_slot),
+    "mult": ("monoid.algebra", "fold-homomorphism", CommMonoid, "mult", _other_element),
+    "mu-step": ("monad.laws", "mu-functoriality", suites, "eval_fun_mor", lambda _: None),
+}
+
+
+@pytest.mark.parametrize("how", ["wrong", "raise"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_failing_walk_counts_the_points_it_walked(monkeypatch, fault, how):
+    ident, only, owner, attr, wrong = FAULTS[fault]
+    for name, check in SUITES[ident].build(SMALL):
+        if only not in (None, name):
+            continue
+        honest, faulted = _reports_under_faults(
+            monkeypatch, owner, attr, check,
+            wrong if how == "wrong" else _raise_index_error)
+        assert honest.passed and faulted, name
+        assert not any(r.passed for r in faulted), name
+        walked = [r.points for r in faulted]
+        assert walked[0] == 1 and walked[-1] == honest.points, (name, walked)
+        assert all(b - a in (0, 1) for a, b in zip(walked, walked[1:])), (name, walked)
+        if how == "raise":
+            for r in faulted:
+                assert r.counterexample.keys() == {"point", "error"}, (name, r)
+                assert r.counterexample["error"] == "injected fault"
+
+
+def test_an_error_in_one_check_keeps_every_suite_result(monkeypatch):
+    ids = [FAULTS[fault][0] for fault in sorted(FAULTS)]
+    for _, _, owner, attr, _ in FAULTS.values():
+        monkeypatch.setattr(owner, attr,
+                            _wrong_at(getattr(owner, attr), 5, _raise_index_error))
+    results = run_suites(ids, SMALL)
+    assert [entry["suite"] for entry in results] == sorted(ids)
+    assert not any(entry["passed"] for entry in results)
