@@ -10,7 +10,6 @@ import json
 from shufflecat.calculus import (
     Budget,
     Gamma,
-    GammaInv,
     VComp,
     cell_endpoints,
     equal_cell,
@@ -39,11 +38,12 @@ print("interchange at ((x y), (y x)):")
 print(" ", json.dumps(data_of_mor(cod, mor)))
 # The permutation [1, 3, 2, 4] is the transpose of the 2 x 2 grid.
 
-# Pasting the transpose (conjugated by the swap of the two slots) back on
-# gives the identity 2-cell; the checker confirms it pointwise.
+# The inverse is the interchange with its two slots swapped,
+# Gamma((A, A), 2, 1).  Pasting it back on gives the identity 2-cell; the
+# checker confirms it pointwise.
 bud = Budget(max_seq_len=3, max_nest=2, max_points=400, seed=0)
 report = equal_cell(
-    VComp((Gamma((A, A)), GammaInv((A, A)))),
+    VComp((Gamma((A, A)), Gamma((A, A), 2, 1))),
     IdCell(gamma_source((A, A), 1, 2)),
     bud,
 )

@@ -31,7 +31,6 @@ from .calculus import (
     Free,
     FunExpr,
     Gamma,
-    GammaInv,
     IdCell,
     Identity,
     MonoidEval,
@@ -48,6 +47,7 @@ from .calculus import (
     VComp,
     WhiskerL,
     WhiskerR,
+    _report,
     bundle,
     cell_endpoints,
     cell_facts,
@@ -227,13 +227,16 @@ def _fit(bud: Budget, *cats: CatExpr) -> Budget:
 def _square_check(m: MultiCell, i: int, bud: Budget) -> Report:
     src, tgt, dom, _ = cell_facts(m.constraints[i - 1])
     fit = _fit(bud, dom)
-    r1 = equal_fun(src, m.square_source(i), fit)
-    if not r1.passed:
-        return replace(r1, detail="constraint source differs from the interleave-then-act route")
-    r2 = equal_fun(tgt, m.square_target(i), fit)
-    if not r2.passed:
-        return replace(r2, detail="constraint target differs from the act-then-apply route")
-    return replace(r1, points=r1.points + r2.points, truncated=r1.truncated or r2.truncated)
+    routes = (("source", src, m.square_source(i), "interleave-then-act"),
+              ("target", tgt, m.square_target(i), "act-then-apply"))
+    points, truncated = 0, False
+    for end, side, route, name in routes:
+        r = equal_fun(side, route, fit)
+        points, truncated = points + r.points, truncated or r.truncated
+        if not r.passed:
+            return _report(r.kind, points, truncated, (r.counterexample, ""), r.phase,
+                           f"constraint {end} differs from the {name} route")
+    return _report("equal-fun", points, truncated, None)
 
 
 def _eta_check(m: MultiCell, i: int, bud: Budget) -> Report:
@@ -384,7 +387,7 @@ def omega_cell(inners: Sequence[CatExpr]) -> MultiCell:
     if n == 2:
         cons += (
             WhiskerR(
-                GammaInv((inners[0], Free(inners[1]))),
+                Gamma((inners[0], Free(inners[1])), 2, 1),
                 Compose((ApplyT(Strength(inners, 2)), Mu(prod))),
             ),
         )

@@ -6,7 +6,8 @@ the flat n-ary products and free symmetric monoidal categories built on
 them (freesmc, re-exported here); functor expressions name the
 structural maps (projections, shuffles, eta, mu, strengths, the
 interleavings) and compose in diagrammatic order; cell expressions paste interchange cells with
-whiskering, vertical, and horizontal composition.
+whiskering, vertical, and horizontal composition.  An interchange cell's
+inverse is the interchange of the same two slots taken the other way round.
 
 Equality of functors or 2-cells is decided pointwise over a deterministic
 bounded enumeration of the domain: smallest inputs first, so the first
@@ -287,14 +288,6 @@ class Gamma:
 
 
 @dataclass(frozen=True)
-class GammaInv:
-    slots: tuple
-    i: int = 1
-    j: int = 2
-    partition: object = "canonical"
-
-
-@dataclass(frozen=True)
 class VComp:
     parts: tuple
 
@@ -327,20 +320,16 @@ class TupleCell:
     parts: tuple
 
 
-CellExpr = Union[
-    IdCell, Gamma, GammaInv, VComp, HComp, WhiskerL, WhiskerR, ApplyTCell, TupleCell
-]
+CellExpr = Union[IdCell, Gamma, VComp, HComp, WhiskerL, WhiskerR, ApplyTCell, TupleCell]
 
-CELL_TYPES = (
-    IdCell, Gamma, GammaInv, VComp, HComp, WhiskerL, WhiskerR, ApplyTCell, TupleCell
-)
+CELL_TYPES = (IdCell, Gamma, VComp, HComp, WhiskerL, WhiskerR, ApplyTCell, TupleCell)
 
 
 def gamma_source(slots: tuple, i: int, j: int) -> FunExpr:
     """The 1-cell that interleaves slot i before slot j: apply the strength
     at slot i with slot j still free, then the freed strength at slot j,
     then flatten.  Gamma(slots, i, j) runs from gamma_source(slots, i, j)
-    to gamma_source(slots, j, i)."""
+    to gamma_source(slots, j, i), and Gamma(slots, j, i) runs back."""
     with_free_j = tuple(Free(s) if k == j - 1 else s for k, s in enumerate(slots))
     return Compose(
         (
@@ -391,13 +380,12 @@ def _cell_facts(e: CellExpr, where: str, table) -> tuple:
             return hit[1]
     if isinstance(e, IdCell):
         facts = (e.fun, e.fun, *fun_endpoints(e.fun, f"{where}.fun"))
-    elif isinstance(e, (Gamma, GammaInv)):
+    elif isinstance(e, Gamma):
         _check_gamma(e, where)
-        i, j = (e.i, e.j) if isinstance(e, Gamma) else (e.j, e.i)
-        freed = (i - 1, j - 1)
+        freed = (e.i - 1, e.j - 1)
         facts = (
-            gamma_source(e.slots, i, j),
-            gamma_source(e.slots, j, i),
+            gamma_source(e.slots, e.i, e.j),
+            gamma_source(e.slots, e.j, e.i),
             Prod(tuple(Free(s) if k in freed else s for k, s in enumerate(e.slots))),
             Free(Prod(tuple(e.slots))),
         )
@@ -491,19 +479,19 @@ class Budget:
 
 
 def count_objects(c: CatExpr, bud: Budget) -> int:
-    return c.count_objects(bud)
+    return c._count(bud, False)
 
 
 def count_morphisms(c: CatExpr, bud: Budget) -> int:
-    return c.count_morphisms(bud)
+    return c._count(bud, True)
 
 
 def object_at(c: CatExpr, bud: Budget, index: int, table=None):
-    return c.object_at(bud, index, table)
+    return c._at(bud, index, False, {} if table is None else table)
 
 
 def morphism_at(c: CatExpr, bud: Budget, index: int, table=None):
-    return c.morphism_at(bud, index, table)
+    return c._at(bud, index, True, {} if table is None else table)
 
 
 def _size(v) -> int:
@@ -681,10 +669,6 @@ def eval_cell(e: CellExpr, x):
         raise CalcError(f"{type(e).__name__}: expression nested too deeply to evaluate") from None
 
 
-def _gamma_component(e, x, i: int, j: int):
-    return gamma_ij_component(e.slots, len(e.slots), i, j, x, e.partition)
-
-
 def _facts(e: CellExpr) -> tuple:
     """(source, target, domain, codomain) of cell node e.  Inside a check
     they are read from the table its typecheck filled (a node it did not
@@ -725,8 +709,7 @@ def _applyt_component(e: ApplyTCell, x):
 
 _CELL_ACTIONS = {
     IdCell: lambda e, x: level_of(_facts(e)[3]).identity(eval_fun(e.fun, x)),
-    Gamma: lambda e, x: _gamma_component(e, x, e.i, e.j),
-    GammaInv: lambda e, x: _gamma_component(e, x, e.j, e.i),
+    Gamma: lambda e, x: gamma_ij_component(e.slots, len(e.slots), e.i, e.j, x, e.partition),
     VComp: _vcomp_component,
     HComp: _hcomp_component,
     WhiskerL: lambda e, x: eval_cell(e.cell, eval_fun(e.fun, x)),

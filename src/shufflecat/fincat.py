@@ -20,11 +20,11 @@ composition and endpoints.
 >>> arrow = load_fincat({
 ...     "name": "arrow", "objects": ["x", "y"],
 ...     "morphisms": [{"id": "f", "src": "x", "tgt": "y"}], "compose": []})
->>> from shufflecat.calculus import Budget, Free
+>>> from shufflecat.calculus import Budget, Free, count_morphisms, count_objects, morphism_at
 >>> bud = Budget(max_seq_len=2)
->>> arrow.count_morphisms(bud), arrow.morphism_at(bud, 2), arrow.free_depth()
+>>> count_morphisms(arrow, bud), morphism_at(arrow, bud, 2), arrow.free_depth()
 (3, 'f', 0)
->>> Free(arrow).count_objects(bud)
+>>> count_objects(Free(arrow), bud)
 7
 """
 
@@ -52,20 +52,10 @@ class FinCatError(ValueError):
 
 
 class CatExpr:
-    """A category expression: it numbers its objects and morphisms from 0
-    for a budget, whose max_seq_len bounds the length of sequences."""
-
-    def count_objects(self, bud) -> int:
-        return self._count(bud, False)
-
-    def count_morphisms(self, bud) -> int:
-        return self._count(bud, True)
-
-    def object_at(self, bud, index: int, table=None):
-        return self._at(bud, index, False, {} if table is None else table)
-
-    def morphism_at(self, bud, index: int, table=None):
-        return self._at(bud, index, True, {} if table is None else table)
+    """A category expression: for a budget, whose max_seq_len bounds the
+    length of sequences, _count(bud, mor) counts its objects (or, when mor
+    is true, its morphisms) and _at(bud, index, mor, table) numbers them
+    from 0; calculus.count_objects and its kin read them."""
 
 
 @dataclass(eq=False)

@@ -48,15 +48,15 @@ Shorter values are numbered first, then in mixed radix; a sequence
 morphism's permutation is its most significant digit.  Up to length 2, the
 free category on the arrow has 1 + 2 + 4 objects and 1 + 3 + 2 * 9 morphisms:
 
->>> from shufflecat.calculus import Budget
+>>> from shufflecat.calculus import Budget, count_morphisms, count_objects, morphism_at, object_at
 >>> free, bud = Free(arrow), Budget(max_seq_len=2)
->>> free.count_objects(bud), free.count_morphisms(bud)
+>>> count_objects(free, bud), count_morphisms(free, bud)
 (7, 22)
->>> free.object_at(bud, 1 + 2 + 2)
+>>> object_at(free, bud, 1 + 2 + 2)
 SeqObj(('y', 'x'))
 >>> arrow.all_morphisms()
 ('id_x', 'id_y', 'f')
->>> m = free.morphism_at(bud, 1 + 3 + 1 * 9 + (1 * 3 + 2))
+>>> m = morphism_at(free, bud, 1 + 3 + 1 * 9 + (1 * 3 + 2))
 >>> m.perm, m.components, free.tgt(m)
 (Perm((2, 1)), ('id_y', 'f'), SeqObj(('y', 'y')))
 """

@@ -18,6 +18,7 @@ is any character ``str.isspace`` accepts, and every other character but
 
 One table describes every head: the kind of expression it makes, its
 constructor and its arguments.  The parser and the printer both read it.
+The ``gamma-inv`` heads build the ``gamma`` cell with its two slots swapped.
 
 Every category NAME resolves to the environment's single base category;
 writing distinct letters for distinct slots is readability sugar, as in
@@ -37,7 +38,7 @@ and raise :class:`PrintError`).
 >>> from shufflecat.fixtures import builtin_base
 >>> env = Env(builtin_base("arrow"))
 >>> print_cell(parse_cell("(vcomp (gamma A B) (gamma-inv A B))", env))
-'(vcomp (gamma arrow arrow) (gamma-inv arrow arrow))'
+'(vcomp (gamma arrow arrow) (gamma-at 2 1 arrow arrow))'
 >>> parse_obj("((x y),(y))", Prod((Free(env.cat("A")), Free(env.cat("B")))), env)
 (SeqObj(('x', 'y')), SeqObj(('y',)))
 >>> parse_cat("(free (prod))", env)
@@ -54,9 +55,9 @@ from operator import attrgetter
 from typing import Optional
 
 from .calculus import (
-    ApplyT, ApplyTCell, CatExpr, CellExpr, Compose, Eta, Free, FunExpr, Gamma,
-    GammaInv, HComp, IdCell, Identity, MonoidEval, MonoidMult, Mu, Omega, Prod, Proj,
-    Shuffle, Strength, Tuple, TupleCell, VComp, WhiskerL, WhiskerR,
+    ApplyT, ApplyTCell, CatExpr, CellExpr, Compose, Eta, Free, FunExpr, Gamma, HComp,
+    IdCell, Identity, MonoidEval, MonoidMult, Mu, Omega, Prod, Proj, Shuffle, Strength,
+    Tuple, TupleCell, VComp, WhiskerL, WhiskerR,
 )
 from .fincat import CommMonoid, FinCat
 from .freesmc import SeqMor, SeqObj
@@ -192,9 +193,9 @@ _SYNTAX = {
     "monoid-mult": ("fun", MonoidMult, "int"),
     "idcell": ("cell", IdCell, "fun"),
     "gamma": ("cell", Gamma, "cat*"),
-    "gamma-inv": ("cell", GammaInv, "cat*"),
+    "gamma-inv": ("cell", Gamma, "cat*"),
     "gamma-at": ("cell", Gamma, "int int cat cat+"),
-    "gamma-inv-at": ("cell", GammaInv, "int int cat cat+"),
+    "gamma-inv-at": ("cell", Gamma, "int int cat cat+"),
     "vcomp": ("cell", VComp, "cell+"),
     "hcomp": ("cell", HComp, "cell cell"),
     "whiskerL": ("cell", WhiskerL, "fun cell"),
@@ -329,12 +330,12 @@ def _gamma(h, args, items, off, env):
     if len(args) == 1:
         if len(args[0]) < 2:
             raise ParseError(f"'{h.name}' needs at least two slots", off)
-        return h.ctor(args[0])
+        args = (1, 2, args[0][0], args[0][1:])
     i, j, first, rest = args
     slots = (first,) + rest
     if not (1 <= i <= len(slots) and 1 <= j <= len(slots) and i != j):
         raise ParseError(f"slot pair ({i}, {j}) invalid for {len(slots)} slot(s)", off)
-    return h.ctor(slots, i, j)
+    return Gamma(slots, j, i) if h.name.startswith("gamma-inv") else Gamma(slots, i, j)
 
 
 _CHECKS = {"proj": _proj, "shuffle": _shuffle, "strength": _strength,
@@ -356,7 +357,7 @@ def _print(x, kind: str) -> str:
     h = _PRINTED_BY.get(type(x))
     if h is None or h.kind != kind:
         raise PrintError(f"no textual form for {type(x).__name__}")
-    if h.ctor is Gamma or h.ctor is GammaInv:
+    if h.ctor is Gamma:
         # the gamma row prints the interchange of slots 1 and 2; others take -at
         if x.partition != "canonical":
             raise PrintError("explicit partitions have no textual form")
@@ -400,7 +401,7 @@ class _Head:
 
 
 _HEADS = {name: _Head(name, *row) for name, row in _SYNTAX.items()}
-# where two heads build one class, as gamma and gamma-at do, the first prints it
+# where heads build one class, as the four gamma heads do, the first prints it
 _PRINTED_BY = {h.ctor: h for h in reversed(_HEADS.values())}
 
 

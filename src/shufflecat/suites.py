@@ -68,7 +68,6 @@ from .calculus import (
     Free,
     FunBase,
     Gamma,
-    GammaInv,
     IdCell,
     Identity,
     MonoidMult,
@@ -84,6 +83,7 @@ from .calculus import (
     VComp,
     WhiskerL,
     WhiskerR,
+    _EVAL_ERRORS,
     _first_failure,
     _report,
     bundle,
@@ -424,7 +424,7 @@ def _symmetry(ctx: SuiteContext) -> list[Check]:
     conj = composite.parts[1]
     return [
         ("round-trip", partial(equal_cell, composite, ident, bud)),
-        ("transpose-inverse", partial(equal_cell, GammaInv((A, B)), conj, bud)),
+        ("transpose-inverse", partial(equal_cell, Gamma((A, B), 2, 1), conj, bud)),
     ]
 
 
@@ -1161,8 +1161,9 @@ def run_suites(ids, ctx: SuiteContext, timings: bool = False) -> list[dict]:
         for name, thunk in suite.build(ctx):
             try:
                 report = thunk()
-            except BudgetError as exc:
-                # the check could not run at this budget; the others still can
+            except (BudgetError, *_EVAL_ERRORS) as exc:
+                # the check could not run at this budget, or its set-up broke
+                # outside its walk; the others still can
                 report = _report("harness", 0, False, (None, str(exc)), "harness")
             checks.append({"name": name, **report.to_dict()})
         entry = {

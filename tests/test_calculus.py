@@ -34,7 +34,6 @@ from shufflecat.calculus import (
     FunBase,
     FunExpr,
     Gamma,
-    GammaInv,
     HComp,
     IdCell,
     Identity,
@@ -136,7 +135,7 @@ def test_gamma_endpoints_are_strength_routes():
     src, tgt = cell_endpoints(g)
     assert src == gamma_source((A, A), 1, 2)
     assert tgt == gamma_source((A, A), 2, 1)
-    gi = GammaInv((A, A))
+    gi = Gamma((A, A), 2, 1)
     assert cell_endpoints(gi) == (tgt, src)
 
 
@@ -152,7 +151,7 @@ def test_vcomp_requires_matching_categories():
     g = Gamma((A, A))
     with pytest.raises(TypecheckError):
         cell_endpoints(VComp((g, IdCell(Identity(A)))))
-    assert typecheck(VComp((g, GammaInv((A, A))))) is not None
+    assert typecheck(VComp((g, Gamma((A, A), 2, 1)))) is not None
 
 
 # ---------------------------------------------------------------- enumerate
@@ -330,7 +329,7 @@ def test_eval_gamma_2x2_perm():
 
 
 def test_eval_vcomp_gamma_inverse_pair():
-    g = VComp((Gamma((A, A)), GammaInv((A, A))))
+    g = VComp((Gamma((A, A)), Gamma((A, A), 2, 1)))
     x, y = seq(("x", "y")), seq(("x", "y"))
     got = eval_cell(g, (x, y))
     assert got == identity_seq(level_of(Prod((A, A))), omega_n((x, y)))
@@ -426,7 +425,7 @@ def test_equal_cell_reflexive():
 
 
 def test_equal_cell_endpoint_mismatch_reported():
-    report = equal_cell(Gamma((A, A)), GammaInv((A, A)), BUD)
+    report = equal_cell(Gamma((A, A)), Gamma((A, A), 2, 1), BUD)
     assert not report.passed
     assert report.phase.startswith("endpoints")
 
@@ -458,7 +457,7 @@ def test_equal_cell_detects_planted_difference():
     assert not report.passed
     assert report.phase.startswith("endpoints")
     # against a cell with the right endpoints but wrong components
-    gi = VComp((Gamma((A, A)), GammaInv((A, A)), Gamma((A, A))))
+    gi = VComp((Gamma((A, A)), Gamma((A, A), 2, 1), Gamma((A, A))))
     report2 = equal_cell(gi, Gamma((A, A)), BUD)
     assert report2.passed
 
@@ -591,10 +590,10 @@ G = Gamma((A, A))
 # VComp meets its parts only at the hom-category, so Gamma after Gamma has
 # Gamma's endpoints and fails to compose wherever gamma moves something
 EQUAL_CELL_CASES = {
-    "endpoints-source": (G, GammaInv((A, A))),
+    "endpoints-source": (G, Gamma((A, A), 2, 1)),
     "endpoints-target": (G, IdCell(gamma_source((A, A), 1, 2))),
     "components": (VComp((G, G)), G),
-    "passing": (VComp((G, GammaInv((A, A)), G)), G),
+    "passing": (VComp((G, Gamma((A, A), 2, 1), G)), G),
 }
 
 
@@ -950,7 +949,7 @@ IDEM = load_fincat({"name": "idem", "objects": ["x", "y"],
 UNNATURAL = WhiskerR(IdCell(Identity(IDEM)), FunBase(FunTable(
     IDEM, IDEM, {"x": "x", "y": "y"},
     {"id_x": "e", "id_y": "id_y", "e": "e", "f": "f", "g": "g"})))
-KNOWN_CHECKS = _checks_of(Gamma((W, W))) + _checks_of(GammaInv((W, W, W), 1, 3)) + [
+KNOWN_CHECKS = _checks_of(Gamma((W, W))) + _checks_of(Gamma((W, W, W), 3, 1)) + [
     (equal_fun, old_equal_fun, Identity(Free(PAR)), SWAP),
     (equal_cell, old_equal_cell, IdCell(Identity(Free(PAR))), IdCell(SWAP)),
     (equal_cell, old_equal_cell, IdCell(PARTIAL), IdCell(_identical_twin(PARTIAL))),

@@ -27,7 +27,6 @@ from shufflecat.calculus import (
     Free,
     FunBase,
     Gamma,
-    GammaInv,
     HComp,
     IdCell,
     Identity,
@@ -102,10 +101,10 @@ def test_functor_forms():
 
 def test_cell_forms():
     assert parse_cell("(gamma A B)", ENV) == Gamma((A, A))
-    assert parse_cell("(gamma-inv A B)", ENV) == GammaInv((A, A))
+    assert parse_cell("(gamma-inv A B)", ENV) == Gamma((A, A), 2, 1)
     assert parse_cell("(gamma-at 2 1 A B C)", ENV) == Gamma((A, A, A), 2, 1)
     assert parse_cell("(vcomp (gamma A B) (gamma-inv A B))", ENV) == VComp(
-        (Gamma((A, A)), GammaInv((A, A)))
+        (Gamma((A, A)), Gamma((A, A), 2, 1))
     )
     assert parse_cell("(whiskerL (eta A) (gamma A B))", ENV) == WhiskerL(
         Eta(A), Gamma((A, A))
@@ -300,7 +299,8 @@ def cells():
         lambda cs: st.tuples(
             st.sampled_from(sorted(range(1, len(cs) + 1))),
             st.sampled_from(sorted(range(1, len(cs) + 1))),
-            st.sampled_from([Gamma, GammaInv]),
+            # an interchange or its inverse, the same slots swapped
+            st.sampled_from([Gamma, lambda s, i, j: Gamma(s, j, i)]),
         ).map(
             lambda ijc: ijc[2](tuple(cs), ijc[0], ijc[1] if ijc[1] != ijc[0] else (ijc[0] % len(cs)) + 1)
         )
@@ -338,15 +338,14 @@ def test_cell_round_trip(e):
     assert parse_cell(print_cell(e), ENV) == e
 
 
-# one canonical text per head, written with the base category's name
+# one canonical text per printed head, written with the base category's name
 CANONICAL = [
     "(prod arrow (free arrow))", "(free arrow)", "(identity arrow)",
     "(compose (eta arrow) (mu arrow))", "(tuple)", "(proj (prod arrow arrow) 2)",
     "(shuffle (prod arrow arrow) (perm 2 1))", "(applyt (identity arrow))", "(eta arrow)",
     "(mu arrow)", "(strength 2 arrow (free arrow))", "(omega arrow arrow)", "(monoid-eval)",
     "(monoid-mult 3)", "(idcell (identity arrow))", "(gamma arrow arrow)",
-    "(gamma-inv arrow arrow)", "(gamma-at 2 1 arrow arrow arrow)",
-    "(gamma-inv-at 1 3 arrow arrow arrow)", "(vcomp (gamma arrow arrow) (gamma-inv arrow arrow))",
+    "(gamma-at 2 1 arrow arrow arrow)", "(vcomp (gamma arrow arrow) (gamma-at 2 1 arrow arrow))",
     "(hcomp (idcell (eta arrow)) (gamma arrow arrow))", "(whiskerL (eta arrow) (gamma arrow arrow))",
     "(whiskerR (gamma arrow arrow) (mu (prod arrow arrow)))", "(applytcell (gamma arrow arrow))",
     "(tuplecell (gamma arrow arrow) (idcell (identity arrow)))",
@@ -354,12 +353,27 @@ CANONICAL = [
 
 
 def test_canonical_text_prints_back_unchanged():
-    assert {t.split()[0].strip("()") for t in CANONICAL} == set(sexpr._SYNTAX)
+    # the gamma-inv heads are read as gamma with the slots swapped, and never printed
+    printed = set(sexpr._SYNTAX) - {"gamma-inv", "gamma-inv-at"}
+    assert {t.split()[0].strip("()") for t in CANONICAL} == printed
     kinds = {"cat": (parse_cat, print_cat), "fun": (parse_fun, print_fun),
              "cell": (parse_cell, print_cell)}
     for text in CANONICAL:
         parse, show = kinds[sexpr._SYNTAX[text.split()[0].strip("()")][0]]
         assert show(parse(text, ENV)) == text
+
+
+@pytest.mark.parametrize("text, slots, i, j, printed", [
+    ("(gamma-inv arrow arrow)", 2, 2, 1, "(gamma-at 2 1 arrow arrow)"),
+    ("(gamma-inv-at 1 3 arrow arrow arrow)", 3, 3, 1, "(gamma-at 3 1 arrow arrow arrow)"),
+    ("(gamma-inv-at 3 2 arrow arrow arrow)", 3, 2, 3, "(gamma-at 2 3 arrow arrow arrow)"),
+    ("(gamma-inv-at 2 1 arrow arrow)", 2, 1, 2, "(gamma arrow arrow)"),
+])
+def test_gamma_inv_is_gamma_with_its_slots_swapped(text, slots, i, j, printed):
+    e = parse_cell(text, ENV)
+    assert e == Gamma((A,) * slots, i, j)
+    assert print_cell(e) == printed
+    assert parse_cell(printed, ENV) == e
 
 
 def test_object_literal_round_trip():
@@ -712,13 +726,13 @@ def ref_gamma_slots(head, items, env, offset):
     return slots
 
 
-def ref_gamma_at(head, items, env, offset, ctor):
+def ref_gamma_at(head, items, env, offset, swap=False):
     ref_arity(head, items, 4, None, offset)
     i, j = ref_int_of(items[0]), ref_int_of(items[1])
     slots = ref_gamma_slots(head, items[2:], env, offset)
     if not (1 <= i <= len(slots) and 1 <= j <= len(slots) and i != j):
         raise ParseError(f"slot pair ({i}, {j}) invalid for {len(slots)} slot(s)", offset)
-    return ctor(slots, i, j)
+    return Gamma(slots, j, i) if swap else Gamma(slots, i, j)
 
 
 def ref_cell_of(node, env: Env) -> CellExpr:
@@ -729,11 +743,11 @@ def ref_cell_of(node, env: Env) -> CellExpr:
     if head == "gamma":
         return Gamma(ref_gamma_slots(head, items, env, off))
     if head == "gamma-inv":
-        return GammaInv(ref_gamma_slots(head, items, env, off))
+        return Gamma(ref_gamma_slots(head, items, env, off), 2, 1)
     if head == "gamma-at":
-        return ref_gamma_at(head, items, env, off, Gamma)
+        return ref_gamma_at(head, items, env, off)
     if head == "gamma-inv-at":
-        return ref_gamma_at(head, items, env, off, GammaInv)
+        return ref_gamma_at(head, items, env, off, swap=True)
     if head == "vcomp":
         ref_arity(head, items, 1, None, off)
         return VComp(tuple(ref_cell_of(n, env) for n in items))
@@ -811,14 +825,13 @@ def ref_print_fun(f: FunExpr) -> str:
 def ref_print_cell(e: CellExpr) -> str:
     if isinstance(e, IdCell):
         return ref_join("idcell", [ref_print_fun(e.fun)])
-    if isinstance(e, (Gamma, GammaInv)):
+    if isinstance(e, Gamma):
         if e.partition != "canonical":
             raise PrintError("explicit partitions have no textual form")
-        base = "gamma" if isinstance(e, Gamma) else "gamma-inv"
         slots = [ref_print_cat(s) for s in e.slots]
         if (e.i, e.j) == (1, 2):
-            return ref_join(base, slots)
-        return ref_join(base + "-at", [str(e.i), str(e.j)] + slots)
+            return ref_join("gamma", slots)
+        return ref_join("gamma-at", [str(e.i), str(e.j)] + slots)
     if isinstance(e, VComp):
         return ref_join("vcomp", [ref_print_cell(p) for p in e.parts])
     if isinstance(e, HComp):

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from shufflecat import algebras, perms, suites
-from shufflecat.calculus import Budget, CatBase
+from shufflecat.calculus import Budget, CatBase, TypecheckError
 from shufflecat.fincat import CommMonoid
 from shufflecat.fixtures import builtin_base, builtin_monoid
 from shufflecat.mutations import inject
@@ -259,3 +259,32 @@ def test_an_error_in_one_check_keeps_every_suite_result(monkeypatch):
     results = run_suites(ids, SMALL)
     assert [entry["suite"] for entry in results] == sorted(ids)
     assert not any(entry["passed"] for entry in results)
+
+
+def test_an_error_outside_a_walk_gets_the_harness_report(monkeypatch):
+    # pseudosym.top-equivariance and multicat's equivariance checks call
+    # block while they build their cells, before any walk starts
+    monkeypatch.setattr(suites, "block", lambda *args: _raise_index_error(args))
+    ids = ["esigma.operad", "multicat.laws", "pseudosym.top-equivariance"]
+    results = run_suites(ids, SMALL)
+    assert [entry["suite"] for entry in results] == ids
+    assert [len(entry["checks"]) for entry in results] == [
+        len(SUITES[ident].build(SMALL)) for ident in ids]
+    harness = {(entry["suite"], c["name"]): c for entry in results
+               for c in entry["checks"] if c["phase"] == "harness"}
+    assert set(harness) == {
+        ("multicat.laws", "top-equivariance"), ("multicat.laws", "bottom-equivariance"),
+        ("pseudosym.top-equivariance", "blocks-21"), ("pseudosym.top-equivariance", "blocks-12"),
+        ("pseudosym.top-equivariance", "blocks-112")}
+    for c in harness.values():
+        assert (c["passed"], c["points"], c["detail"]) == (False, 0, "injected fault")
+    assert not any(entry["passed"] for entry in results)
+
+
+def test_a_typecheck_error_outside_a_walk_still_propagates(monkeypatch):
+    def refuse(*args):
+        raise TypecheckError("injected fault")
+
+    monkeypatch.setattr(suites, "block", refuse)
+    with pytest.raises(TypecheckError, match="injected fault"):
+        run_suites(["multicat.laws"], SMALL)

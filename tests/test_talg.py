@@ -7,6 +7,7 @@ pseudo-morphism axioms themselves checked pointwise by the calculus layer.
 
 import pytest
 
+from shufflecat import algebras
 from shufflecat.algebras import (
     FreeAlg,
     MonoidAlg,
@@ -58,6 +59,7 @@ from shufflecat.calculus import (
     Tuple as TupleFun,
     TypecheckError,
     WhiskerR,
+    _report,
     equal_cell,
     equal_fun,
     eval_fun,
@@ -146,6 +148,23 @@ def test_omega_cell_validates():
     subs = [check(m, i, BUD) for check in (_square_check, _eta_check, _mu_check)
             for i in (1, 2)] + [_coherence_check(m, 1, 2, BUD)]
     assert report.points == sum(r.points for r in subs)
+
+
+def test_a_failing_square_route_counts_both_routes(monkeypatch):
+    real, routes = algebras.equal_fun, []
+
+    def target_fails(*args):
+        routes.append(real(*args))
+        if len(routes) == 2:
+            return _report("equal-fun", 3, False, ({"point": "p"}, ""))
+        return routes[-1]
+
+    monkeypatch.setattr(algebras, "equal_fun", target_fails)
+    report = _square_check(omega_cell((AR, AR)), 1, BUD)
+    assert [r.passed for r in routes] == [True, True]
+    assert not report.passed and report.points == routes[0].points + 3
+    assert report.counterexample == {"point": "p"}
+    assert report.detail == "constraint target differs from the act-then-apply route"
 
 
 def test_identity_constraint_fails_coherence():

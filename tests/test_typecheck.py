@@ -21,7 +21,6 @@ from shufflecat.calculus import (
     Eta,
     Free,
     Gamma,
-    GammaInv,
     HComp,
     IdCell,
     Identity,
@@ -73,9 +72,6 @@ def reference_cell_endpoints(e, path=""):
         if isinstance(e, Gamma):
             calculus._check_gamma(e, where)
             return gamma_source(e.slots, e.i, e.j), gamma_source(e.slots, e.j, e.i)
-        if isinstance(e, GammaInv):
-            calculus._check_gamma(e, where)
-            return gamma_source(e.slots, e.j, e.i), gamma_source(e.slots, e.i, e.j)
         if isinstance(e, VComp):
             if not e.parts:
                 raise TypecheckError(f"{where}: empty vertical composition")
@@ -131,7 +127,7 @@ FUNS = [
 ]
 LEAF_CELLS = [
     IdCell(Identity(W)), IdCell(Identity(TW)), IdCell(Eta(W)), IdCell(Proj(W, 1)),
-    Gamma((W, W)), GammaInv((W, W)), Gamma((W, W, W), 1, 3),
+    Gamma((W, W)), Gamma((W, W), 2, 1), Gamma((W, W, W), 1, 3),
     Gamma((W, W), partition=(0, 1, 2)), Gamma((W, W), 1, 1), Identity(W),
 ]
 
@@ -163,7 +159,7 @@ def outcome(typecheck, e):
 # both sides, a vertical composite, and T and tuples of cells.
 UNPACK = Tuple((ApplyT(Proj(WW, 1)), ApplyT(Proj(WW, 2))))
 PASTINGS = [
-    VComp((Gamma((W, W)), GammaInv((W, W)))),
+    VComp((Gamma((W, W)), Gamma((W, W), 2, 1))),
     HComp(Gamma((W, W)), WhiskerL(UNPACK, Gamma((W, W)))),
     WhiskerR(WhiskerL(Tuple((Identity(TW), Identity(TW))), Gamma((W, W))),
              ApplyT(Proj(WW, 1))),
